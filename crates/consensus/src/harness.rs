@@ -217,6 +217,7 @@ impl LocalNet {
                             if let Some(tracer) = &mut self.tracer {
                                 tracer.observers[node.as_usize()].on_timer_fired(
                                     token,
+                                    self.nodes[node.as_usize()].current_view(),
                                     at,
                                     &mut tracer.sink,
                                 );

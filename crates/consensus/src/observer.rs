@@ -64,10 +64,20 @@ impl ProtocolObserver {
         );
     }
 
-    /// Observes an expired timer *before* the protocol handles it.
-    pub fn on_timer_fired(&mut self, token: TimerToken, now: SimTime, sink: &mut dyn TraceSink) {
-        if let TimerToken::ViewTimer(view) = token {
-            self.emit(sink, now, TraceEvent::TimeoutFired { node: self.node, view });
+    /// Observes an expired timer *before* the protocol handles it, given
+    /// the protocol's `current_view`. Only a view timer for the current
+    /// view is a timeout: every protocol ignores the timers of views it
+    /// has already left, so tracing those would count timeouts that never
+    /// happened.
+    pub fn on_timer_fired(
+        &mut self,
+        token: TimerToken,
+        current_view: View,
+        now: SimTime,
+        sink: &mut dyn TraceSink,
+    ) {
+        if token == TimerToken::ViewTimer(current_view) {
+            self.emit(sink, now, TraceEvent::TimeoutFired { node: self.node, view: current_view });
         }
     }
 
@@ -279,8 +289,11 @@ mod tests {
     fn timer_and_sync_traced() {
         let mut obs = ProtocolObserver::new(NodeId(2));
         let mut ring = RingBufferSink::new(16);
-        obs.on_timer_fired(TimerToken::ViewTimer(View(3)), SimTime(9), &mut ring);
-        obs.on_timer_fired(TimerToken::ProposeTimer(View(3)), SimTime(9), &mut ring);
+        obs.on_timer_fired(TimerToken::ViewTimer(View(3)), View(3), SimTime(9), &mut ring);
+        obs.on_timer_fired(TimerToken::ProposeTimer(View(3)), View(3), SimTime(9), &mut ring);
+        // A view timer for a view the node has already left is stale: the
+        // protocol ignores it, so it is not a timeout.
+        obs.on_timer_fired(TimerToken::ViewTimer(View(2)), View(3), SimTime(9), &mut ring);
         let block = Block::build(View(1), NodeId(0), &Block::genesis(), Payload::empty());
         obs.on_outputs(
             &[Output::Send(NodeId(0), Message::BlockRequest { block_id: block.id() })],

@@ -18,6 +18,7 @@
 //! driver (pusher + payload source). All state is internally locked; no
 //! method blocks on anything but a short mutex.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -115,10 +116,14 @@ const STORED_LOG_CAP: usize = 64 * 1024;
 #[derive(Debug, Default)]
 struct StoreInner {
     map: HashMap<Digest, Arc<[u8]>>,
-    /// Insertion order for byte-budget FIFO eviction. May hold digests
-    /// already removed by [`BatchStore::prune_committed`]; the eviction
-    /// loop skips them.
+    /// Insertion order: byte-budget eviction's second choice, once no
+    /// committed batch is left to evict. May hold digests already evicted
+    /// or pruned; the eviction loop skips them.
     order: VecDeque<Digest>,
+    /// Commit order (first [`BatchStore::mark_committed`] per digest):
+    /// byte-budget eviction's first choice. Skips stale digests like
+    /// `order`.
+    committed_order: VecDeque<Digest>,
     bytes: usize,
     /// Digests stored since the driver last drained — its wake-up list for
     /// releasing gated votes and recording `BatchStored` trace events.
@@ -130,12 +135,15 @@ struct StoreInner {
 
 /// The node-local content-addressed batch store.
 ///
-/// Bounded by a byte budget with FIFO eviction: batches are pushed ahead
-/// of the proposals that reference them and resolved again at commit, so
-/// the live window is a few pipeline depths of batches; the budget only
-/// guards against a peer spraying garbage. Insertion is keyed by digest —
-/// the caller must have *verified* the digest against the bytes (readers
-/// recompute via [`batch_digest`]).
+/// Bounded by a byte budget: batches are pushed ahead of the proposals
+/// that reference them and resolved again at commit, so the live window is
+/// a few pipeline depths of batches; the budget only guards against a peer
+/// spraying garbage or a load that outruns commits. Past the budget,
+/// committed batches go first, oldest commit first — they are kept only
+/// for lagging peers — and uncommitted batches, which live proposals may
+/// still reference, go oldest-first only once no committed one is left.
+/// Insertion is keyed by digest — the caller must have *verified* the
+/// digest against the bytes (readers recompute via [`batch_digest`]).
 pub struct BatchStore {
     inner: Mutex<StoreInner>,
     byte_budget: usize,
@@ -143,7 +151,7 @@ pub struct BatchStore {
 }
 
 impl BatchStore {
-    /// An empty store evicting oldest-first past `byte_budget`.
+    /// An empty store evicting committed-then-oldest past `byte_budget`.
     pub fn new(byte_budget: usize, counters: Arc<DissemCounters>) -> BatchStore {
         BatchStore { inner: Mutex::new(StoreInner::default()), byte_budget, counters }
     }
@@ -162,12 +170,17 @@ impl BatchStore {
         if inner.stored_log.len() > STORED_LOG_CAP {
             inner.stored_log.pop_front();
         }
-        while inner.bytes > self.byte_budget && inner.order.len() > 1 {
-            if let Some(old) = inner.order.pop_front() {
-                if let Some(b) = inner.map.remove(&old) {
-                    inner.bytes -= b.len();
-                    self.counters.evicted.fetch_add(1, Ordering::Relaxed);
-                }
+        while inner.bytes > self.byte_budget && inner.map.len() > 1 {
+            let Some(old) = inner.committed_order.pop_front().or_else(|| inner.order.pop_front())
+            else {
+                break;
+            };
+            if old == digest {
+                continue; // never evict the batch being inserted
+            }
+            if let Some(b) = inner.map.remove(&old) {
+                inner.bytes -= b.len();
+                self.counters.evicted.fetch_add(1, Ordering::Relaxed);
             }
         }
         drop(inner);
@@ -193,8 +206,16 @@ impl BatchStore {
     /// standing between a long run and an ever-growing store.
     pub fn mark_committed(&self, digest: Digest, height: u64) {
         let mut inner = self.inner.lock().unwrap();
-        let h = inner.committed.entry(digest).or_insert(height);
-        *h = (*h).max(height);
+        match inner.committed.entry(digest) {
+            Entry::Occupied(mut h) => {
+                let h = h.get_mut();
+                *h = (*h).max(height);
+            }
+            Entry::Vacant(v) => {
+                v.insert(height);
+                inner.committed_order.push_back(digest);
+            }
+        }
     }
 
     /// Drops every batch whose committing block height is ≤ `floor`.
@@ -211,19 +232,23 @@ impl BatchStore {
             .map(|(d, _)| *d)
             .collect();
         let mut pruned = 0usize;
-        for d in ripe {
-            inner.committed.remove(&d);
-            if let Some(b) = inner.map.remove(&d) {
+        for d in &ripe {
+            inner.committed.remove(d);
+            if let Some(b) = inner.map.remove(d) {
                 inner.bytes -= b.len();
                 pruned += 1;
             }
         }
         if pruned > 0 {
             self.counters.pruned_committed.fetch_add(pruned as u64, Ordering::Relaxed);
-            // Keep the FIFO eviction order from accumulating stale
-            // entries across a long run.
-            let StoreInner { map, order, .. } = &mut *inner;
+        }
+        if !ripe.is_empty() {
+            // Keep the eviction orders from accumulating stale entries
+            // across a long run — including those of ripe batches the
+            // byte budget already evicted.
+            let StoreInner { map, order, committed_order, .. } = &mut *inner;
             order.retain(|d| map.contains_key(d));
+            committed_order.retain(|d| map.contains_key(d));
         }
         pruned
     }
@@ -458,6 +483,35 @@ mod tests {
         assert!(plane.store.contains(&batches[2].0));
         assert!(plane.store.contains(&batches[3].0));
         assert!(plane.store.bytes() <= 250);
+        assert_eq!(plane.counters.stats().evicted, 2);
+    }
+
+    #[test]
+    fn store_evicts_committed_batches_before_uncommitted_ones() {
+        let plane = DissemPlane::new(250);
+        let batches: Vec<(Digest, Arc<[u8]>)> = (0u8..3)
+            .map(|i| {
+                let b = arc_bytes(100, i);
+                (batch_digest(&b), b)
+            })
+            .collect();
+        // An uncommitted batch, then a newer one that a block committed.
+        plane.store.insert(batches[0].0, batches[0].1.clone());
+        plane.store.insert(batches[1].0, batches[1].1.clone());
+        plane.store.mark_committed(batches[1].0, 1);
+        // Over budget: the committed batch goes, although it is newer —
+        // the uncommitted one may still be referenced by a live proposal.
+        plane.store.insert(batches[2].0, batches[2].1.clone());
+        assert!(plane.store.contains(&batches[0].0), "uncommitted batch evicted");
+        assert!(!plane.store.contains(&batches[1].0), "committed batch kept");
+        assert!(plane.store.contains(&batches[2].0));
+        assert_eq!(plane.counters.stats().evicted, 1);
+
+        // With no committed batch left, eviction falls back to oldest-first.
+        let b = arc_bytes(100, 3);
+        plane.store.insert(batch_digest(&b), b);
+        assert!(!plane.store.contains(&batches[0].0));
+        assert!(plane.store.contains(&batches[2].0));
         assert_eq!(plane.counters.stats().evicted, 2);
     }
 

@@ -1304,7 +1304,7 @@ impl Runner {
             if let Some(shaper) = &mut c.shaper {
                 let now = Instant::now();
                 while shaper.staged_bytes < SHAPE_STAGE_CAP {
-                    match c.state.queue.pop(Duration::ZERO) {
+                    match c.state.queue.pop() {
                         Some(f) => shaper.stage(f, now),
                         None => break,
                     }
@@ -1321,7 +1321,7 @@ impl Runner {
                 }
             } else {
                 while c.pending_bytes < WRITE_COALESCE {
-                    match c.state.queue.pop(Duration::ZERO) {
+                    match c.state.queue.pop() {
                         Some(f) => {
                             c.pending_bytes += f.len();
                             c.pending.push_back((f, 0));
@@ -1483,6 +1483,67 @@ mod tests {
         let t1 = t0 + wait;
         s.refill(t1);
         assert!(s.release(t1).is_some(), "frame still blocked after the deficit repaid");
+    }
+
+    /// A shard holding one shaped frame sleeps until the frame's release
+    /// deadline instead of polling toward it: 5 ms of link delay costs a
+    /// handful of loop wakeups (the send nudge, the release timer, the
+    /// receiving read), not one per zero-timeout poll while the deadline
+    /// is under a millisecond away.
+    #[test]
+    fn shaped_frame_release_wakes_the_shard_a_bounded_number_of_times() {
+        use crate::transport::{InboundSender, Transport, TransportConfig};
+        use moonshot_consensus::Message;
+        use moonshot_types::{Block, Payload, View};
+        use std::sync::mpsc;
+
+        let pool = NetPool::new(NetPoolConfig {
+            shards: 1,
+            verify_workers: 1,
+            verify_queue_capacity: 16,
+        })
+        .unwrap();
+        let link = LinkShape { delay: Duration::from_millis(5), rate_bps: 0, burst_bytes: 0 };
+        let shape = Arc::new(ShapeMatrix::uniform(2, link));
+        let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
+        let l1 = TcpListener::bind("127.0.0.1:0").unwrap();
+        let (a0, a1) = (l0.local_addr().unwrap(), l1.local_addr().unwrap());
+        let peers = vec![(NodeId(0), a0), (NodeId(1), a1)];
+        let start = |id: u16, listener: TcpListener| {
+            let (tx, rx) = mpsc::channel();
+            let addr = listener.local_addr().unwrap();
+            let mut cfg = TransportConfig::new(NodeId(id), addr, peers.clone());
+            cfg.pool = Some(pool.clone());
+            cfg.shape = Some(shape.clone());
+            let t = Transport::start_with_listener(cfg, listener, InboundSender::new(tx)).unwrap();
+            (t, rx)
+        };
+        let (t0, rx0) = start(0, l0);
+        let (t1, rx1) = start(1, l1);
+
+        let block = Block::build(View(1), NodeId(0), &Block::genesis(), Payload::from(vec![3]));
+        let msg = Message::OptPropose { block, view: View(1) };
+        let frame = Arc::new(moonshot_wire::encode_message(&msg));
+        // Warm up both directions so dials and hellos are done, then let
+        // the shard go idle.
+        t0.send(NodeId(1), frame.clone());
+        rx1.recv_timeout(Duration::from_secs(10)).expect("warm-up delivery 0 -> 1");
+        t1.send(NodeId(0), frame.clone());
+        rx0.recv_timeout(Duration::from_secs(10)).expect("warm-up delivery 1 -> 0");
+        std::thread::sleep(Duration::from_millis(50));
+
+        let before = pool.stats().loop_wakeups;
+        let sent = Instant::now();
+        t0.send(NodeId(1), frame);
+        rx1.recv_timeout(Duration::from_secs(10)).expect("shaped delivery");
+        let held = sent.elapsed();
+        let wakeups = pool.stats().loop_wakeups - before;
+        assert!(held >= link.delay, "frame released after {held:?}, before the link delay");
+        assert!(wakeups <= 10, "{wakeups} shard wakeups to release one frame staged 5 ms ahead");
+
+        t0.stop();
+        t1.stop();
+        pool.shutdown();
     }
 
     /// Ordered delivery survives shaping: frames staged in order release

@@ -481,7 +481,7 @@ fn run_driver(
                 driver.execute_fetch_plan(plan, t);
                 continue;
             }
-            driver.observer.on_timer_fired(token, t, &mut driver.sink);
+            driver.observer.on_timer_fired(token, protocol.current_view(), t, &mut driver.sink);
             let outputs = protocol.handle_timer(token, t);
             driver.process(protocol, outputs, t);
         }

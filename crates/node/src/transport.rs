@@ -28,8 +28,8 @@ use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::Sender;
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use moonshot_consensus::{Message, MessageVerifier, RetryPolicy};
 use moonshot_mempool::{DissemPlane, Mempool};
@@ -233,7 +233,6 @@ pub struct PeerMetrics {
 
 pub(crate) struct OutboundQueue {
     frames: Mutex<VecFrames>,
-    pub(crate) signal: Condvar,
     capacity: usize,
     byte_capacity: usize,
     /// Byte budget of the protected class ([`push_protected`]
@@ -267,7 +266,6 @@ impl OutboundQueue {
                 protected: std::collections::VecDeque::new(),
                 protected_bytes: 0,
             }),
-            signal: Condvar::new(),
             capacity: capacity.max(1),
             byte_capacity: byte_capacity.max(1),
             protected_byte_capacity: protected_byte_capacity.max(1),
@@ -294,8 +292,6 @@ impl OutboundQueue {
         inner.bytes += frame.len();
         inner.queue.push_back(frame);
         let depth = (inner.queue.len() + inner.protected.len()) as u64;
-        drop(inner);
-        self.signal.notify_one();
         (dropped, depth)
     }
 
@@ -314,36 +310,22 @@ impl OutboundQueue {
         }
         inner.protected_bytes += frame.len();
         inner.protected.push_back(frame);
-        drop(inner);
-        self.signal.notify_one();
         true
     }
 
-    /// Waits up to `wait` for a frame, serving the protected class first.
-    /// Loops on the condvar until a frame arrives or the deadline passes —
-    /// a spurious wakeup (or a notify that raced with another consumer)
-    /// must not cut the wait short. The shard loops call this with
-    /// `Duration::ZERO` (pure nonblocking drain); the wait path survives
-    /// for tests and any future blocking consumer.
-    pub(crate) fn pop(&self, wait: Duration) -> Option<Arc<Vec<u8>>> {
-        let deadline = Instant::now() + wait;
+    /// Takes the next frame without blocking, serving the protected class
+    /// first. The shard loop that owns the peer's connection is the only
+    /// consumer; producers wake it with `NetPool::nudge_peer`, not through
+    /// the queue.
+    pub(crate) fn pop(&self) -> Option<Arc<Vec<u8>>> {
         let mut inner = self.frames.lock().unwrap();
-        loop {
-            if let Some(frame) = inner.protected.pop_front() {
-                inner.protected_bytes -= frame.len();
-                return Some(frame);
-            }
-            if let Some(frame) = inner.queue.pop_front() {
-                inner.bytes -= frame.len();
-                return Some(frame);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let (guard, _) = self.signal.wait_timeout(inner, deadline - now).unwrap();
-            inner = guard;
+        if let Some(frame) = inner.protected.pop_front() {
+            inner.protected_bytes -= frame.len();
+            return Some(frame);
         }
+        let frame = inner.queue.pop_front()?;
+        inner.bytes -= frame.len();
+        Some(frame)
     }
 
     pub(crate) fn depth(&self) -> u64 {
@@ -614,6 +596,7 @@ impl Transport {
 mod tests {
     use super::*;
     use std::sync::mpsc;
+    use std::time::Instant;
 
     fn localhost_any() -> SocketAddr {
         "127.0.0.1:0".parse().unwrap()
@@ -627,8 +610,8 @@ mod tests {
         assert_eq!(q.push(f(2)).0, 0);
         let (dropped, depth) = q.push(f(3));
         assert_eq!((dropped, depth), (1, 2));
-        assert_eq!(q.pop(Duration::ZERO).unwrap()[0], 2); // 1 was dropped
-        assert_eq!(q.pop(Duration::ZERO).unwrap()[0], 3);
+        assert_eq!(q.pop().unwrap()[0], 2); // 1 was dropped
+        assert_eq!(q.pop().unwrap()[0], 3);
     }
 
     #[test]
@@ -647,10 +630,10 @@ mod tests {
         assert!(dropped_total >= 95, "expected most frames evicted, dropped {dropped_total}");
         // The freshest frame always survives, oldest go first: the head of
         // the queue is the oldest *retained* frame and the newest is last.
-        let first = q.pop(Duration::ZERO).unwrap();
+        let first = q.pop().unwrap();
         assert!(first[0] > 90);
         let mut last = first[0];
-        while let Some(f) = q.pop(Duration::ZERO) {
+        while let Some(f) = q.pop() {
             last = f[0];
         }
         assert_eq!(last, 99, "newest frame must never be evicted");
@@ -663,27 +646,7 @@ mod tests {
         assert_eq!(q.depth(), 1);
         let (dropped, depth) = q.push(Arc::new(vec![2; 8]));
         assert_eq!((dropped, depth), (1, 1)); // oversized head evicted
-        assert_eq!(q.pop(Duration::ZERO).unwrap()[0], 2);
-    }
-
-    #[test]
-    fn pop_survives_spurious_wakeups_until_deadline_or_frame() {
-        let q = Arc::new(OutboundQueue::new(4, usize::MAX, usize::MAX));
-        let q2 = q.clone();
-        let waiter = std::thread::spawn(move || q2.pop(Duration::from_millis(500)));
-        // A notify with an empty queue (indistinguishable from a spurious
-        // wakeup on the waiter side) must not make pop return None early.
-        std::thread::sleep(Duration::from_millis(50));
-        q.signal.notify_all();
-        std::thread::sleep(Duration::from_millis(50));
-        q.push(Arc::new(vec![42]));
-        let got = waiter.join().unwrap();
-        assert_eq!(got.expect("frame after spurious wakeup")[0], 42);
-
-        // With nothing pushed, pop waits out the full deadline.
-        let start = Instant::now();
-        assert!(q.pop(Duration::from_millis(50)).is_none());
-        assert!(start.elapsed() >= Duration::from_millis(50));
+        assert_eq!(q.pop().unwrap()[0], 2);
     }
 
     /// Regression for the sync-response starvation bug: a flood of normal
@@ -703,19 +666,19 @@ mod tests {
         }
         // The protected frame is untouched and is served before the
         // (newer) normal frames.
-        assert_eq!(q.pop(Duration::ZERO).unwrap()[0], 0xA);
+        assert_eq!(q.pop().unwrap()[0], 0xA);
 
         // Protected overflow drops the NEW frame, not a queued response.
         assert!(q.push_protected(Arc::new(vec![0xB; 8])));
         assert!(!q.push_protected(Arc::new(vec![0xC; 8])), "over budget: must refuse new");
-        assert_eq!(q.pop(Duration::ZERO).unwrap()[0], 0xB);
+        assert_eq!(q.pop().unwrap()[0], 0xB);
         // A single response larger than the whole budget still goes through
         // when the class is empty (memory bound = max(budget, one frame)).
         assert!(q.push_protected(Arc::new(vec![0xD; 64])));
-        assert_eq!(q.pop(Duration::ZERO).unwrap()[0], 0xD);
+        assert_eq!(q.pop().unwrap()[0], 0xD);
         // Normal frames are still there underneath, newest retained.
         let mut last = 0;
-        while let Some(f) = q.pop(Duration::ZERO) {
+        while let Some(f) = q.pop() {
             last = f[0];
         }
         assert_eq!(last, 49);

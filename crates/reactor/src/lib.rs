@@ -25,6 +25,11 @@
 //!   Implemented as a `UnixStream` self-pipe registered under a reserved
 //!   internal token; the wait loop drains it and never surfaces it to the
 //!   caller.
+//! - **Timeouts round up**: `epoll_wait`/`poll` take whole milliseconds,
+//!   so a timeout is rounded *up* to the next millisecond. A wait that no
+//!   event or wake cuts short ends up to 1 ms late and never early; a
+//!   sub-millisecond deadline therefore sleeps instead of degrading into
+//!   a zero-timeout busy poll.
 //!
 //! The event-loop shards in `moonshot-node` own all higher-level policy
 //! (framing, write coalescing, timers, redial); this crate is deliberately
@@ -36,7 +41,12 @@ use std::io::{self, Read, Write};
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
 use std::sync::Mutex;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+#[cfg(target_os = "linux")]
+use epoll::Backend;
+#[cfg(all(unix, not(target_os = "linux")))]
+use poll::Backend;
 
 /// Reserved token used internally for the waker self-pipe. Registrations
 /// under this token are rejected.
@@ -110,7 +120,7 @@ pub struct Event {
 /// ```
 #[derive(Debug)]
 pub struct Poller {
-    backend: backend::Backend,
+    backend: Backend,
     /// Read end of the waker self-pipe, drained inside `wait`.
     wake_rx: UnixStream,
     /// Write end; `wake()` writes one byte. Behind a mutex only to make the
@@ -126,7 +136,7 @@ impl Poller {
         let (wake_rx, wake_tx) = UnixStream::pair()?;
         wake_rx.set_nonblocking(true)?;
         wake_tx.set_nonblocking(true)?;
-        let mut backend = backend::Backend::new()?;
+        let mut backend = Backend::new()?;
         backend.register(wake_rx.as_raw_fd(), WAKE_TOKEN, Interest::READABLE)?;
         Ok(Poller { backend, wake_rx, wake_tx: Mutex::new(wake_tx) })
     }
@@ -162,6 +172,11 @@ impl Poller {
     /// elapses, or [`Poller::wake`] is called. Ready events are appended to
     /// `events` (which is cleared first). A wake with no ready fds returns
     /// with `events` empty.
+    ///
+    /// The timeout is rounded up to whole milliseconds: a wait that ends
+    /// on its timeout returns up to 1 ms late, never early. Callers that
+    /// sleep until a deadline can therefore pass the exact remaining time,
+    /// however small, without spinning.
     pub fn wait(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
         events.clear();
         self.backend.wait(events, timeout)?;
@@ -245,11 +260,38 @@ impl Clone for Waker {
     }
 }
 
+/// Converts a wait timeout into the whole milliseconds `epoll_wait` and
+/// `poll` take (`-1` = block indefinitely). Any non-zero remainder rounds
+/// *up*: truncating would turn every sub-millisecond deadline into a
+/// zero-timeout poll, and a loop sleeping until such a deadline would spin.
+fn timeout_ms(timeout: Option<Duration>) -> i32 {
+    match timeout {
+        None => -1,
+        Some(d) => d.as_nanos().div_ceil(1_000_000).min(i32::MAX as u128) as i32,
+    }
+}
+
+/// Runs one blocking wait of the backend syscall, retrying on `EINTR` with
+/// the time remaining, so a signal never ends a wait early.
+fn wait_with_retry(
+    timeout: Option<Duration>,
+    mut sys_wait: impl FnMut(i32) -> io::Result<usize>,
+) -> io::Result<usize> {
+    let deadline = timeout.map(|d| Instant::now() + d);
+    loop {
+        let remaining = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+        match sys_wait(timeout_ms(remaining)) {
+            Err(ref e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            r => return r,
+        }
+    }
+}
+
 #[cfg(target_os = "linux")]
-mod backend {
+mod epoll {
     //! Level-triggered epoll via hand-written FFI (no libc crate).
 
-    use super::{Event, Interest};
+    use super::{wait_with_retry, Event, Interest};
     use std::io;
     use std::os::unix::io::RawFd;
     use std::time::Duration;
@@ -333,27 +375,14 @@ mod backend {
         }
 
         pub(super) fn wait(&mut self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
-            let timeout_ms: i32 = match timeout {
-                None => -1,
-                Some(d) => d.as_millis().min(i32::MAX as u128) as i32,
-            };
             let mut buf = [EpollEvent { events: 0, u64: 0 }; 256];
-            let n = loop {
-                match cvt(unsafe {
-                    epoll_wait(self.epfd, buf.as_mut_ptr(), buf.len() as i32, timeout_ms)
-                }) {
-                    Ok(n) => break n as usize,
-                    Err(ref e) if e.kind() == io::ErrorKind::Interrupted => {
-                        // Retry with zero timeout so an EINTR during a long
-                        // block does not double the wait.
-                        if timeout_ms >= 0 {
-                            break 0;
-                        }
-                        continue;
-                    }
-                    Err(e) => return Err(e),
-                }
-            };
+            let n = wait_with_retry(timeout, |ms| {
+                // SAFETY: `buf` is a live, writable array of `buf.len()`
+                // `EpollEvent`s, the layout the kernel writes, and `epfd`
+                // is the epoll fd this backend owns until drop.
+                cvt(unsafe { epoll_wait(self.epfd, buf.as_mut_ptr(), buf.len() as i32, ms) })
+                    .map(|n| n as usize)
+            })?;
             for ev in &buf[..n] {
                 // Copy out of the (possibly packed) struct before use.
                 let bits = ev.events;
@@ -378,12 +407,14 @@ mod backend {
     }
 }
 
-#[cfg(all(unix, not(target_os = "linux")))]
-mod backend {
+#[cfg(all(unix, any(test, not(target_os = "linux"))))]
+// On Linux this backend is compiled only so its tests run there too.
+#[cfg_attr(target_os = "linux", allow(dead_code))]
+mod poll {
     //! Portable `poll(2)` fallback: O(n) per wait, fine for tests and
     //! small clusters on non-Linux unix.
 
-    use super::{Event, Interest};
+    use super::{wait_with_retry, Event, Interest};
     use std::io;
     use std::os::unix::io::RawFd;
     use std::time::Duration;
@@ -462,25 +493,17 @@ mod backend {
                     revents: 0,
                 })
                 .collect();
-            let timeout_ms: i32 = match timeout {
-                None => -1,
-                Some(d) => d.as_millis().min(i32::MAX as u128) as i32,
-            };
-            let n = loop {
-                let r = unsafe { poll(fds.as_mut_ptr(), fds.len() as u64, timeout_ms) };
+            let n = wait_with_retry(timeout, |ms| {
+                // SAFETY: `fds` is a live, writable slice of `fds.len()`
+                // `PollFd`s laid out as `struct pollfd`.
+                let r = unsafe { poll(fds.as_mut_ptr(), fds.len() as u64, ms) };
                 if r < 0 {
-                    let e = io::Error::last_os_error();
-                    if e.kind() == io::ErrorKind::Interrupted {
-                        if timeout_ms >= 0 {
-                            break 0;
-                        }
-                        continue;
-                    }
-                    return Err(e);
+                    Err(io::Error::last_os_error())
+                } else {
+                    Ok(r as usize)
                 }
-                break r;
-            };
-            if n <= 0 {
+            })?;
+            if n == 0 {
                 return Ok(());
             }
             for (pfd, (_, token, _)) in fds.iter().zip(self.regs.iter()) {
@@ -707,6 +730,49 @@ mod tests {
         let (_a, b) = pair();
         let mut p = Poller::new().unwrap();
         assert!(p.register(b.as_raw_fd(), WAKE_TOKEN, Interest::READABLE).is_err());
+    }
+
+    #[test]
+    fn timeouts_round_up_to_whole_milliseconds() {
+        assert_eq!(timeout_ms(None), -1);
+        assert_eq!(timeout_ms(Some(Duration::ZERO)), 0);
+        assert_eq!(timeout_ms(Some(Duration::from_nanos(1))), 1);
+        assert_eq!(timeout_ms(Some(Duration::from_micros(300))), 1);
+        assert_eq!(timeout_ms(Some(Duration::from_millis(1))), 1);
+        assert_eq!(timeout_ms(Some(Duration::from_micros(1_001))), 2);
+        assert_eq!(timeout_ms(Some(Duration::from_secs(u64::MAX))), i32::MAX);
+    }
+
+    /// The wake-up contract: an idle wait on a sub-millisecond timeout
+    /// sleeps at least that long instead of returning at once (which made
+    /// a loop sleeping until a sub-millisecond deadline spin). Checked on
+    /// the platform backend through `Poller` and on the `poll(2)` backend
+    /// directly.
+    #[test]
+    fn idle_sub_millisecond_wait_never_returns_early() {
+        const TIMEOUT: Duration = Duration::from_micros(300);
+        let (_a, b) = pair();
+        let mut events = Vec::new();
+
+        let mut p = Poller::new().unwrap();
+        p.register(b.as_raw_fd(), 1, Interest::READABLE).unwrap();
+        for _ in 0..5 {
+            let start = Instant::now();
+            p.wait(&mut events, Some(TIMEOUT)).unwrap();
+            let waited = start.elapsed();
+            assert!(events.is_empty(), "idle poller reported {events:?}");
+            assert!(waited >= TIMEOUT, "Poller::wait returned after {waited:?} < {TIMEOUT:?}");
+        }
+
+        let mut fallback = poll::Backend::new().unwrap();
+        fallback.register(b.as_raw_fd(), 1, Interest::READABLE).unwrap();
+        for _ in 0..5 {
+            let start = Instant::now();
+            fallback.wait(&mut events, Some(TIMEOUT)).unwrap();
+            let waited = start.elapsed();
+            assert!(events.is_empty(), "idle poll backend reported {events:?}");
+            assert!(waited >= TIMEOUT, "poll backend returned after {waited:?} < {TIMEOUT:?}");
+        }
     }
 
     #[test]

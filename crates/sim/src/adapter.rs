@@ -123,7 +123,8 @@ impl Actor<Message> for ProtocolActor {
     fn on_timer(&mut self, timer: TimerId, ctx: &mut Context<Message>) {
         if let Some(token) = self.timers.remove(&timer) {
             if let Some(sink) = &mut self.trace {
-                self.observer.on_timer_fired(token, ctx.now(), sink);
+                let view = self.protocol.current_view();
+                self.observer.on_timer_fired(token, view, ctx.now(), sink);
             }
             let outs = self.protocol.handle_timer(token, ctx.now());
             self.apply(outs, ctx);

@@ -31,7 +31,7 @@ use crate::chainstate::{ChainState, CommitRule};
 use crate::sync::{self, BlockFetcher};
 use crate::message::Message;
 use crate::protocol::{ConsensusProtocol, NodeConfig, Output, TimerToken};
-use crate::verify::PreVerified;
+use crate::verify::{MessageVerifier, PreVerified};
 
 /// How many rounds of vote/timeout state to retain behind the current round.
 const GC_MARGIN: u64 = 4;
@@ -39,6 +39,7 @@ const GC_MARGIN: u64 = 4;
 /// The Jolteon state machine for one node (rounds are represented as views).
 pub struct Jolteon {
     cfg: NodeConfig,
+    verifier: MessageVerifier,
     chain: ChainState,
     votes: VoteAggregator,
     timeouts: TimeoutAggregator,
@@ -93,6 +94,7 @@ impl Jolteon {
             fetcher.set_local_source(src);
         }
         let mut node = Jolteon {
+            verifier: MessageVerifier::for_config(&cfg),
             cfg,
             chain: ChainState::with_rule(rule),
             votes: VoteAggregator::new(),
@@ -182,13 +184,10 @@ impl Jolteon {
 
     fn on_qc(&mut self, qc: &QuorumCertificate, now: SimTime, out: &mut Vec<Output>) {
         // Duplicate of an already-registered certificate for a view we have
-        // left: nothing can change — skip (and skip re-verification).
+        // left: nothing can change — skip.
         if qc.view() < self.current_view()
             && self.chain.is_registered(qc.view(), qc.block_id())
         {
-            return;
-        }
-        if !self.cfg.check_qc(qc) {
             return;
         }
         let reg = self.chain.register_qc(qc);
@@ -202,10 +201,7 @@ impl Jolteon {
         }
     }
 
-    fn on_tc(&mut self, tc: &TimeoutCertificate, verify: bool, now: SimTime, out: &mut Vec<Output>) {
-        if verify && !self.cfg.check_tc(tc) {
-            return;
-        }
+    fn on_tc(&mut self, tc: &TimeoutCertificate, now: SimTime, out: &mut Vec<Output>) {
         if let Some(qc) = tc.high_qc() {
             self.on_qc(&qc.clone(), now, out);
         }
@@ -292,7 +288,8 @@ impl Jolteon {
     fn replay_pending(&mut self, now: SimTime, out: &mut Vec<Output>) {
         if let Some(msgs) = self.pending.remove(&self.round) {
             for (from, msg) in msgs {
-                out.extend(self.handle_message(from, msg, now));
+                // Buffered messages passed verification on arrival.
+                out.extend(self.handle_preverified(from, PreVerified::trusted(msg), now));
             }
         }
     }
@@ -308,7 +305,6 @@ impl Jolteon {
             && block.proposer() == self.cfg.leader(pv)
             && block.view() == pv
             && block.header_is_valid()
-            && self.cfg.check_payload(block)
     }
 
     fn cast_vote(&mut self, block: &Block, out: &mut Vec<Output>) {
@@ -371,11 +367,8 @@ impl Jolteon {
         now: SimTime,
         out: &mut Vec<Output>,
     ) {
-        if !self.cfg.check_tc(&tc) {
-            return;
-        }
         self.on_qc(&justify.clone(), now, out);
-        self.on_tc(&tc, false, now, out);
+        self.on_tc(&tc, now, out);
         if pv > self.round {
             self.buffer(pv, from, Message::FbPropose { block, justify, tc, view: pv });
             return;
@@ -416,9 +409,6 @@ impl Jolteon {
     }
 
     fn on_timeout_msg(&mut self, st: SignedTimeout, now: SimTime, out: &mut Vec<Output>) {
-        if !self.cfg.check_timeout(&st) {
-            return;
-        }
         if let Some(qc) = st.lock.clone() {
             self.on_qc(&qc, now, out);
         }
@@ -429,7 +419,7 @@ impl Jolteon {
         }
         if let Some(tc) = progress.certificate {
             self.cfg.mark_verified_tc(&tc);
-            self.on_tc(&tc, false, now, out);
+            self.on_tc(&tc, now, out);
         }
     }
 }
@@ -441,9 +431,18 @@ impl ConsensusProtocol for Jolteon {
         out
     }
 
-    fn handle_message(&mut self, from: NodeId, message: Message, now: SimTime) -> Vec<Output> {
+    fn verifier(&self) -> &MessageVerifier {
+        &self.verifier
+    }
+
+    fn handle_preverified(
+        &mut self,
+        from: NodeId,
+        message: PreVerified,
+        now: SimTime,
+    ) -> Vec<Output> {
         let mut out = Vec::new();
-        match message {
+        match message.into_inner() {
             Message::Propose { block, justify, view } => {
                 self.on_propose(from, block, justify, view, now, &mut out)
             }
@@ -453,7 +452,7 @@ impl ConsensusProtocol for Jolteon {
             Message::Vote(sv) => {
                 // Only the designated aggregator receives votes; aggregate
                 // and, on quorum, advance and propose.
-                if sv.vote.kind == VoteKind::Normal && self.cfg.check_vote(&sv) {
+                if sv.vote.kind == VoteKind::Normal {
                     if let Some(qc) = self.votes.add(sv, &self.cfg.keyring) {
                         self.cfg.mark_verified_qc(&qc);
                         self.on_qc(&qc, now, &mut out);
@@ -462,14 +461,12 @@ impl ConsensusProtocol for Jolteon {
             }
             Message::Timeout(st) => self.on_timeout_msg(st, now, &mut out),
             Message::Certificate(qc) => self.on_qc(&qc, now, &mut out),
-            Message::TimeoutCert(tc) => self.on_tc(&tc, true, now, &mut out),
+            Message::TimeoutCert(tc) => self.on_tc(&tc, now, &mut out),
             Message::BlockRequest { block_id } => {
                 out.extend(sync::serve_request(&self.chain.tree, from, block_id));
             }
             Message::BlockResponse { block } => {
-                if sync::validate_response(&block, |v| self.cfg.leader(v))
-                    && self.cfg.check_payload(&block)
-                {
+                if sync::validate_response(&block, |v| self.cfg.leader(v)) {
                     self.fetcher.fulfilled(block.id());
                     self.store_block(block, now, &mut out);
                 }
@@ -480,19 +477,6 @@ impl ConsensusProtocol for Jolteon {
             | Message::Status { .. }
             | Message::CommitVote(_) => {}
         }
-        out
-    }
-
-    fn handle_preverified(
-        &mut self,
-        from: NodeId,
-        message: PreVerified,
-        now: SimTime,
-    ) -> Vec<Output> {
-        let saved = self.cfg.skip_inline_checks;
-        self.cfg.skip_inline_checks = true;
-        let out = self.handle_message(from, message.into_inner(), now);
-        self.cfg.skip_inline_checks = saved;
         out
     }
 

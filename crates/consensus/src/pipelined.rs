@@ -29,7 +29,7 @@ use crate::chainstate::ChainState;
 use crate::sync::{self, BlockFetcher};
 use crate::message::Message;
 use crate::protocol::{ConsensusProtocol, NodeConfig, Output, RecoveredState, TimerToken};
-use crate::verify::PreVerified;
+use crate::verify::{MessageVerifier, PreVerified};
 
 /// How many views of vote/timeout state to retain behind the current view.
 const GC_MARGIN: u64 = 4;
@@ -63,6 +63,7 @@ impl Default for MoonshotOptions {
 /// The Pipelined Moonshot state machine for one node.
 pub struct PipelinedMoonshot {
     cfg: NodeConfig,
+    verifier: MessageVerifier,
     opts: MoonshotOptions,
     chain: ChainState,
     votes: VoteAggregator,
@@ -126,6 +127,7 @@ impl PipelinedMoonshot {
             fetcher.set_local_source(src);
         }
         let mut node = PipelinedMoonshot {
+            verifier: MessageVerifier::for_config(&cfg),
             cfg,
             opts,
             chain: ChainState::new(),
@@ -228,13 +230,10 @@ impl PipelinedMoonshot {
 
     fn on_qc(&mut self, qc: &QuorumCertificate, now: SimTime, out: &mut Vec<Output>) {
         // Duplicate of an already-registered certificate for a view we have
-        // left: nothing can change — skip (and skip re-verification).
+        // left: nothing can change — skip.
         if qc.view() < self.current_view()
             && self.chain.is_registered(qc.view(), qc.block_id())
         {
-            return;
-        }
-        if !self.cfg.check_qc(qc) {
             return;
         }
         // Lock rule: adopt any higher ranked certificate, at any time.
@@ -277,10 +276,7 @@ impl PipelinedMoonshot {
         }
     }
 
-    fn on_tc(&mut self, tc: &TimeoutCertificate, verify: bool, now: SimTime, out: &mut Vec<Output>) {
-        if verify && !self.cfg.check_tc(tc) {
-            return;
-        }
+    fn on_tc(&mut self, tc: &TimeoutCertificate, now: SimTime, out: &mut Vec<Output>) {
         if let Some(qc) = tc.high_qc() {
             self.on_qc(&qc.clone(), now, out);
         }
@@ -390,7 +386,8 @@ impl PipelinedMoonshot {
     fn replay_pending(&mut self, now: SimTime, out: &mut Vec<Output>) {
         if let Some(msgs) = self.pending.remove(&self.view) {
             for (from, msg) in msgs {
-                out.extend(self.handle_message(from, msg, now));
+                // Buffered messages passed verification on arrival.
+                out.extend(self.handle_preverified(from, PreVerified::trusted(msg), now));
             }
         }
     }
@@ -439,7 +436,6 @@ impl PipelinedMoonshot {
             && block.proposer() == self.cfg.leader(pv)
             && block.view() == pv
             && block.header_is_valid()
-            && self.cfg.check_payload(block)
     }
 
     fn on_opt_propose(
@@ -577,13 +573,10 @@ impl PipelinedMoonshot {
         now: SimTime,
         out: &mut Vec<Output>,
     ) {
-        if !self.cfg.check_tc(&tc) {
-            return;
-        }
         // Advance View and Lock with all embedded certificates. The TC may
         // advance us into pv itself.
         self.on_qc(&justify.clone(), now, out);
-        self.on_tc(&tc, false, now, out);
+        self.on_tc(&tc, now, out);
         if pv > self.view {
             self.buffer(pv, from, Message::FbPropose { block, justify, tc, view: pv });
             return;
@@ -641,9 +634,6 @@ impl PipelinedMoonshot {
     }
 
     fn on_timeout_msg(&mut self, st: SignedTimeout, now: SimTime, out: &mut Vec<Output>) {
-        if !self.cfg.check_timeout(&st) {
-            return;
-        }
         // Lock rule on the embedded certificate.
         if let Some(qc) = st.lock.clone() {
             self.on_qc(&qc, now, out);
@@ -656,15 +646,12 @@ impl PipelinedMoonshot {
         }
         if let Some(tc) = progress.certificate {
             self.cfg.mark_verified_tc(&tc);
-            self.on_tc(&tc, false, now, out);
+            self.on_tc(&tc, now, out);
         }
     }
 
     fn on_commit_vote(&mut self, cv: SignedCommitVote, now: SimTime, out: &mut Vec<Output>) {
         if !self.opts.explicit_commits {
-            return;
-        }
-        if !self.cfg.check_commit_vote(&cv) {
             return;
         }
         let view = cv.vote.view;
@@ -685,9 +672,18 @@ impl ConsensusProtocol for PipelinedMoonshot {
         out
     }
 
-    fn handle_message(&mut self, from: NodeId, message: Message, now: SimTime) -> Vec<Output> {
+    fn verifier(&self) -> &MessageVerifier {
+        &self.verifier
+    }
+
+    fn handle_preverified(
+        &mut self,
+        from: NodeId,
+        message: PreVerified,
+        now: SimTime,
+    ) -> Vec<Output> {
         let mut out = Vec::new();
-        match message {
+        match message.into_inner() {
             Message::OptPropose { block, view } => {
                 self.on_opt_propose(from, block, view, now, &mut out)
             }
@@ -701,24 +697,20 @@ impl ConsensusProtocol for PipelinedMoonshot {
                 self.on_compact_propose(from, block_id, justify, view, now, &mut out)
             }
             Message::Vote(sv) => {
-                if self.cfg.check_vote(&sv) {
-                    if let Some(qc) = self.votes.add(sv, &self.cfg.keyring) {
-                        self.cfg.mark_verified_qc(&qc);
-                        self.on_qc(&qc, now, &mut out);
-                    }
+                if let Some(qc) = self.votes.add(sv, &self.cfg.keyring) {
+                    self.cfg.mark_verified_qc(&qc);
+                    self.on_qc(&qc, now, &mut out);
                 }
             }
             Message::Timeout(st) => self.on_timeout_msg(st, now, &mut out),
             Message::Certificate(qc) => self.on_qc(&qc, now, &mut out),
-            Message::TimeoutCert(tc) => self.on_tc(&tc, true, now, &mut out),
+            Message::TimeoutCert(tc) => self.on_tc(&tc, now, &mut out),
             Message::CommitVote(cv) => self.on_commit_vote(cv, now, &mut out),
             Message::BlockRequest { block_id } => {
                 out.extend(sync::serve_request(&self.chain.tree, from, block_id));
             }
             Message::BlockResponse { block } => {
-                if sync::validate_response(&block, |v| self.cfg.leader(v))
-                    && self.cfg.check_payload(&block)
-                {
+                if sync::validate_response(&block, |v| self.cfg.leader(v)) {
                     self.fetcher.fulfilled(block.id());
                     self.store_block(block, now, &mut out);
                 }
@@ -727,19 +719,6 @@ impl ConsensusProtocol for PipelinedMoonshot {
             // embedded certificate.
             Message::Status { lock, .. } => self.on_qc(&lock, now, &mut out),
         }
-        out
-    }
-
-    fn handle_preverified(
-        &mut self,
-        from: NodeId,
-        message: PreVerified,
-        now: SimTime,
-    ) -> Vec<Output> {
-        let saved = self.cfg.skip_inline_checks;
-        self.cfg.skip_inline_checks = true;
-        let out = self.handle_message(from, message.into_inner(), now);
-        self.cfg.skip_inline_checks = saved;
         out
     }
 
@@ -826,8 +805,8 @@ impl ConsensusProtocol for CommitMoonshot {
     fn start(&mut self, now: SimTime) -> Vec<Output> {
         self.0.start(now)
     }
-    fn handle_message(&mut self, from: NodeId, message: Message, now: SimTime) -> Vec<Output> {
-        self.0.handle_message(from, message, now)
+    fn verifier(&self) -> &MessageVerifier {
+        self.0.verifier()
     }
     fn handle_preverified(
         &mut self,
@@ -882,12 +861,12 @@ mod tests {
         LocalNet::with_uniform_latency(nodes, SimDuration::from_millis(latency_ms))
     }
 
-    /// Inline-path payload integrity: a proposal whose payload bytes were
-    /// swapped under an honest digest (and therefore an honest-looking
-    /// block id) must be dropped without a vote, while the byte-identical
-    /// honest proposal is voted for.
+    /// Payload integrity through `handle_message`: a proposal whose
+    /// payload bytes were swapped under an honest digest (and therefore an
+    /// honest-looking block id) must be dropped without a vote, while the
+    /// byte-identical honest proposal is voted for.
     #[test]
-    fn inline_path_drops_tampered_payload_proposal() {
+    fn handle_message_drops_tampered_payload_proposal() {
         use moonshot_types::Payload;
         let count_votes = |outs: &[Output]| {
             outs.iter()

@@ -13,12 +13,11 @@ use std::sync::Arc;
 use moonshot_crypto::{KeyPair, Keyring, VerifiedCache};
 use moonshot_types::time::{SimDuration, SimTime};
 use moonshot_types::{
-    Block, BlockId, NodeId, Payload, QuorumCertificate, SignedCommitVote, SignedTimeout,
-    SignedVote, TimeoutCertificate, View,
+    Block, BlockId, NodeId, Payload, QuorumCertificate, TimeoutCertificate, View,
 };
 
 use crate::message::Message;
-use crate::verify::PreVerified;
+use crate::verify::{MessageVerifier, PreVerified};
 
 /// A protocol-level timer token.
 ///
@@ -75,23 +74,35 @@ pub trait ConsensusProtocol {
     /// Called once at startup; typically enters view 1 and arms timers.
     fn start(&mut self, now: SimTime) -> Vec<Output>;
 
-    /// Handles a delivered message from `from`.
-    fn handle_message(&mut self, from: NodeId, message: Message, now: SimTime) -> Vec<Output>;
+    /// The verifier every delivered message passes before it reaches a
+    /// state transition. Built once from the node's [`NodeConfig`], it
+    /// shares the keyring and the verified-certificate cache with the
+    /// protocol, so off-thread callers (the node runtime's sigverify stage)
+    /// and [`ConsensusProtocol::handle_message`] validate identically.
+    fn verifier(&self) -> &MessageVerifier;
 
-    /// Handles a message whose cryptography was already checked off-thread
-    /// (see [`crate::verify::MessageVerifier`]). The default conservatively
-    /// re-verifies by falling back to [`ConsensusProtocol::handle_message`];
-    /// protocols in this crate override it to skip their inline signature
-    /// checks, which is what lets verification legally run on reader
-    /// threads while the state transition stays on the driver.
+    /// Handles a delivered message from `from`: verifies it with
+    /// [`ConsensusProtocol::verifier`] and hands it to
+    /// [`ConsensusProtocol::handle_preverified`]. A message that fails
+    /// verification is dropped whole and produces no output.
+    fn handle_message(&mut self, from: NodeId, message: Message, now: SimTime) -> Vec<Output> {
+        match self.verifier().verify(message) {
+            Ok(pv) => self.handle_preverified(from, pv, now),
+            Err(_) => Vec::new(),
+        }
+    }
+
+    /// Handles a message whose cryptography was already checked (see
+    /// [`crate::verify::MessageVerifier`]). The state transition itself
+    /// performs no signature or payload checks, which is what lets
+    /// verification run on other threads while the transition stays on
+    /// the driver.
     fn handle_preverified(
         &mut self,
         from: NodeId,
         message: PreVerified,
         now: SimTime,
-    ) -> Vec<Output> {
-        self.handle_message(from, message.into_inner(), now)
-    }
+    ) -> Vec<Output>;
 
     /// Handles an expired timer. Stale tokens must be ignored.
     fn handle_timer(&mut self, token: TimerToken, now: SimTime) -> Vec<Output>;
@@ -226,16 +237,18 @@ pub struct NodeConfig {
     pub election: Box<dyn crate::leader::LeaderElection>,
     /// Payload source for blocks this node proposes.
     pub payloads: PayloadSource,
-    /// Whether to cryptographically verify incoming votes/certificates.
+    /// Whether the protocol's [`crate::verify::MessageVerifier`] checks
+    /// incoming signatures, certificates and payload digests.
     ///
     /// Always `true` in tests; large-scale experiments may disable it to
     /// trade fidelity for speed (honest simulations never forge).
     pub verify_signatures: bool,
     /// Retry behaviour for block fetches (see [`crate::sync::RetryPolicy`]).
     pub fetch_retry: crate::sync::RetryPolicy,
-    /// The cache of already-verified certificate digests, shared with any
-    /// off-thread [`crate::verify::MessageVerifier`] so a certificate
-    /// checked on a reader thread is a cache hit everywhere else.
+    /// The cache of already-verified certificate digests, shared with the
+    /// protocol's [`crate::verify::MessageVerifier`] (and every clone of it
+    /// handed to other threads) so a certificate checked once is a cache
+    /// hit everywhere else.
     pub verified_cache: Arc<VerifiedCache>,
     /// Durable write-ahead log for votes/timeouts (`None` = in-memory
     /// only, the pre-ledger behaviour). Called synchronously on the driver
@@ -247,13 +260,6 @@ pub struct NodeConfig {
     /// Local durable block store the fetch path consults before dialing
     /// peers (`None` = always fetch over the network).
     pub local_blocks: Option<Arc<dyn LocalBlockSource>>,
-    /// While `true`, the `check_*` helpers pass unconditionally. Set (and
-    /// restored) by [`ConsensusProtocol::handle_preverified`] overrides
-    /// around a state transition whose message already cleared an
-    /// off-thread [`crate::verify::MessageVerifier`]. Unlike flipping
-    /// [`NodeConfig::verify_signatures`], this leaves certificate *marking*
-    /// active, so locally assembled certificates still land in the cache.
-    pub skip_inline_checks: bool,
 }
 
 impl NodeConfig {
@@ -272,7 +278,6 @@ impl NodeConfig {
             persist: None,
             recover: None,
             local_blocks: None,
-            skip_inline_checks: false,
         }
     }
 
@@ -288,47 +293,6 @@ impl NodeConfig {
         if let Some(p) = &self.persist {
             p.persist_timeout(view, high_qc);
         }
-    }
-
-    /// Whether the inline `check_*` helpers should actually verify: not
-    /// when verification is globally off, and not while handling a message
-    /// that already cleared an off-thread verifier.
-    fn inline_checks(&self) -> bool {
-        self.verify_signatures && !self.skip_inline_checks
-    }
-
-    /// Checks a quorum certificate through the verified-certificate cache.
-    /// Always true when signature verification is disabled.
-    pub fn check_qc(&self, qc: &QuorumCertificate) -> bool {
-        !self.inline_checks() || qc.verify_cached(&self.keyring, &self.verified_cache).is_ok()
-    }
-
-    /// Checks a timeout certificate through the cache.
-    pub fn check_tc(&self, tc: &TimeoutCertificate) -> bool {
-        !self.inline_checks() || tc.verify_cached(&self.keyring, &self.verified_cache).is_ok()
-    }
-
-    /// Checks a signed vote through the cache.
-    pub fn check_vote(&self, sv: &SignedVote) -> bool {
-        !self.inline_checks() || sv.verify_cached(&self.keyring, &self.verified_cache)
-    }
-
-    /// Checks a signed timeout (and its embedded lock QC) through the cache.
-    pub fn check_timeout(&self, st: &SignedTimeout) -> bool {
-        !self.inline_checks() || st.verify_cached(&self.keyring, &self.verified_cache)
-    }
-
-    /// Checks a signed commit vote through the cache.
-    pub fn check_commit_vote(&self, cv: &SignedCommitVote) -> bool {
-        !self.inline_checks() || cv.verify_cached(&self.keyring, &self.verified_cache)
-    }
-
-    /// Checks that a received block's payload bytes hash to the digest its
-    /// id commits to. Skipped (like the other inline checks) for messages
-    /// that already cleared an off-thread verifier, so the driver never
-    /// hashes payload bytes in reader-verified deployments.
-    pub fn check_payload(&self, block: &Block) -> bool {
-        !self.inline_checks() || block.payload().digest_matches_bytes()
     }
 
     /// Records a locally assembled QC as verified. Certificates built from

@@ -28,7 +28,7 @@ use crate::chainstate::ChainState;
 use crate::sync::{self, BlockFetcher};
 use crate::message::Message;
 use crate::protocol::{ConsensusProtocol, NodeConfig, Output, RecoveredState, TimerToken};
-use crate::verify::PreVerified;
+use crate::verify::{MessageVerifier, PreVerified};
 
 /// How many views of vote/timeout state to retain behind the current view.
 const GC_MARGIN: u64 = 4;
@@ -36,6 +36,7 @@ const GC_MARGIN: u64 = 4;
 /// The Simple Moonshot state machine for one node.
 pub struct SimpleMoonshot {
     cfg: NodeConfig,
+    verifier: MessageVerifier,
     chain: ChainState,
     votes: VoteAggregator,
     timeouts: TimeoutAggregator,
@@ -86,6 +87,7 @@ impl SimpleMoonshot {
             fetcher.set_local_source(src);
         }
         let mut node = SimpleMoonshot {
+            verifier: MessageVerifier::for_config(&cfg),
             cfg,
             chain: ChainState::new(),
             votes: VoteAggregator::new(),
@@ -183,13 +185,10 @@ impl SimpleMoonshot {
 
     fn on_qc(&mut self, qc: &QuorumCertificate, now: SimTime, out: &mut Vec<Output>) {
         // Duplicate of an already-registered certificate for a view we have
-        // left: nothing can change — skip (and skip re-verification).
+        // left: nothing can change — skip.
         if qc.view() < self.current_view()
             && self.chain.is_registered(qc.view(), qc.block_id())
         {
-            return;
-        }
-        if !self.cfg.check_qc(qc) {
             return;
         }
         let reg = self.chain.register_qc(qc);
@@ -208,10 +207,7 @@ impl SimpleMoonshot {
         }
     }
 
-    fn on_tc(&mut self, tc: &TimeoutCertificate, verify: bool, now: SimTime, out: &mut Vec<Output>) {
-        if verify && !self.cfg.check_tc(tc) {
-            return;
-        }
+    fn on_tc(&mut self, tc: &TimeoutCertificate, now: SimTime, out: &mut Vec<Output>) {
         if let Some(qc) = tc.high_qc() {
             self.on_qc(&qc.clone(), now, out);
         }
@@ -281,7 +277,8 @@ impl SimpleMoonshot {
     fn replay_pending(&mut self, now: SimTime, out: &mut Vec<Output>) {
         if let Some(msgs) = self.pending.remove(&self.view) {
             for (from, msg) in msgs {
-                out.extend(self.handle_message(from, msg, now));
+                // Buffered messages passed verification on arrival.
+                out.extend(self.handle_preverified(from, PreVerified::trusted(msg), now));
             }
         }
     }
@@ -458,7 +455,6 @@ impl SimpleMoonshot {
             && block.proposer() == self.cfg.leader(pv)
             && block.view() == pv
             && block.header_is_valid()
-            && self.cfg.check_payload(block)
     }
 
     fn buffer(&mut self, view: View, from: NodeId, msg: Message) {
@@ -478,9 +474,6 @@ impl SimpleMoonshot {
     }
 
     fn on_timeout_msg(&mut self, st: SignedTimeout, now: SimTime, out: &mut Vec<Output>) {
-        if !self.cfg.check_timeout(&st) {
-            return;
-        }
         let view = st.view();
         let progress = self.timeouts.add(st, &self.cfg.keyring);
         // Rule 4: f+1 distinct timeouts for the current view ⇒ stop voting
@@ -490,7 +483,7 @@ impl SimpleMoonshot {
         }
         if let Some(tc) = progress.certificate {
             self.cfg.mark_verified_tc(&tc);
-            self.on_tc(&tc, false, now, out);
+            self.on_tc(&tc, now, out);
         }
     }
 }
@@ -509,9 +502,18 @@ impl ConsensusProtocol for SimpleMoonshot {
         out
     }
 
-    fn handle_message(&mut self, from: NodeId, message: Message, now: SimTime) -> Vec<Output> {
+    fn verifier(&self) -> &MessageVerifier {
+        &self.verifier
+    }
+
+    fn handle_preverified(
+        &mut self,
+        from: NodeId,
+        message: PreVerified,
+        now: SimTime,
+    ) -> Vec<Output> {
         let mut out = Vec::new();
-        match message {
+        match message.into_inner() {
             Message::OptPropose { block, view } => {
                 self.on_opt_propose(from, block, view, now, &mut out)
             }
@@ -522,7 +524,7 @@ impl ConsensusProtocol for SimpleMoonshot {
                 self.on_compact_propose(from, block_id, justify, view, now, &mut out)
             }
             Message::Vote(sv) => {
-                if sv.vote.kind == VoteKind::Normal && self.cfg.check_vote(&sv) {
+                if sv.vote.kind == VoteKind::Normal {
                     if let Some(qc) = self.votes.add(sv, &self.cfg.keyring) {
                         self.cfg.mark_verified_qc(&qc);
                         self.on_qc(&qc, now, &mut out);
@@ -531,15 +533,13 @@ impl ConsensusProtocol for SimpleMoonshot {
             }
             Message::Timeout(st) => self.on_timeout_msg(st, now, &mut out),
             Message::Certificate(qc) => self.on_qc(&qc, now, &mut out),
-            Message::TimeoutCert(tc) => self.on_tc(&tc, true, now, &mut out),
+            Message::TimeoutCert(tc) => self.on_tc(&tc, now, &mut out),
             Message::Status { lock, .. } => self.on_qc(&lock, now, &mut out),
             Message::BlockRequest { block_id } => {
                 out.extend(sync::serve_request(&self.chain.tree, from, block_id));
             }
             Message::BlockResponse { block } => {
-                if sync::validate_response(&block, |v| self.cfg.leader(v))
-                    && self.cfg.check_payload(&block)
-                {
+                if sync::validate_response(&block, |v| self.cfg.leader(v)) {
                     self.fetcher.fulfilled(block.id());
                     self.store_block(block, now, &mut out);
                 }
@@ -547,19 +547,6 @@ impl ConsensusProtocol for SimpleMoonshot {
             // Not part of Simple Moonshot.
             Message::FbPropose { .. } | Message::CommitVote(_) => {}
         }
-        out
-    }
-
-    fn handle_preverified(
-        &mut self,
-        from: NodeId,
-        message: PreVerified,
-        now: SimTime,
-    ) -> Vec<Output> {
-        let saved = self.cfg.skip_inline_checks;
-        self.cfg.skip_inline_checks = true;
-        let out = self.handle_message(from, message.into_inner(), now);
-        self.cfg.skip_inline_checks = saved;
         out
     }
 

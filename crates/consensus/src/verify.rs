@@ -1,26 +1,31 @@
-//! Off-thread message verification: the `PreVerified` seam.
+//! Message verification: the `PreVerified` seam.
 //!
 //! Protocol state transitions in this crate are cheap — the expensive part
-//! of `handle_message` is checking signatures on votes, timeouts and the
-//! certificates embedded in proposals. That check is *pure*: it needs the
-//! PKI and the verified-certificate cache, but no protocol state. This
-//! module splits it out so it can legally run on the transport's per-peer
-//! reader threads (or any verify pool), handing the driver thread only
-//! messages wrapped in [`PreVerified`].
+//! of handling a message is checking signatures on votes, timeouts and the
+//! certificates embedded in proposals, plus the payload digest of any
+//! carried block. That check is *pure*: it needs the PKI and the
+//! verified-certificate cache, but no protocol state. [`MessageVerifier`]
+//! is the only code that performs it, for every caller.
+//!
+//! Each protocol builds one verifier from its [`NodeConfig`] and exposes
+//! it through [`ConsensusProtocol::verifier`]. The provided
+//! [`ConsensusProtocol::handle_message`] is verify-then-
+//! [`ConsensusProtocol::handle_preverified`], so the simulator, tests and
+//! harnesses validate exactly as the networked runtime does. The runtime
+//! verifies on its sigverify stage instead and calls `handle_preverified`
+//! directly, so the driver thread performs **zero** signature checks.
 //!
 //! The contract: a [`PreVerified`] value is only constructed by
-//! [`MessageVerifier::verify`] after every signature in the message checked
-//! out, or by [`PreVerified::trusted`] for messages that need no check
-//! (loopback copies of messages this node itself signed). Protocols accept
-//! it via [`ConsensusProtocol::handle_preverified`] and skip their inline
-//! crypto, so a correctly wired runtime performs **zero** signature
-//! verifications on the driver thread.
+//! [`MessageVerifier::verify`] after every check on the message passed, or
+//! by [`PreVerified::trusted`] for messages that need no check.
 //!
 //! The verifier shares its [`VerifiedCache`] with the protocol's
 //! [`NodeConfig`](crate::NodeConfig), so a certificate checked on one
 //! reader thread is a cache hit on every other thread — each unique QC/TC
 //! costs one raw multisig verification per node, total.
 //!
+//! [`ConsensusProtocol::verifier`]: crate::ConsensusProtocol::verifier
+//! [`ConsensusProtocol::handle_message`]: crate::ConsensusProtocol::handle_message
 //! [`ConsensusProtocol::handle_preverified`]: crate::ConsensusProtocol::handle_preverified
 
 use std::fmt;
@@ -41,8 +46,10 @@ pub struct PreVerified(Message);
 
 impl PreVerified {
     /// Wraps a message that needs no verification: one this node generated
-    /// itself (loopback copies of its own multicasts) or one from a context
-    /// where verification is disabled.
+    /// itself (loopback copies of its own multicasts), one that already
+    /// passed verification on arrival (a proposal buffered for a future
+    /// view and replayed on entry), or one from a context where
+    /// verification is disabled.
     pub fn trusted(message: Message) -> PreVerified {
         PreVerified(message)
     }
@@ -104,18 +111,13 @@ impl MessageVerifier {
     }
 
     /// A verifier wired to `cfg`'s keyring, cache and `verify_signatures`
-    /// flag — the one-liner the node runtime uses.
+    /// flag — the one every protocol builds in its constructor.
     pub fn for_config(cfg: &NodeConfig) -> MessageVerifier {
         MessageVerifier::new(
             cfg.keyring.clone(),
             cfg.verified_cache.clone(),
             cfg.verify_signatures,
         )
-    }
-
-    /// Whether verification is actually performed.
-    pub fn enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Checks every signature in `message` — and, for messages carrying a

@@ -718,3 +718,271 @@ fn cm_commit_is_exactly_once_per_block() {
     let b1_commits = commits.iter().filter(|id| **id == b1.id()).count();
     assert_eq!(b1_commits, 1, "block 1 must commit exactly once");
 }
+
+// ===== Adversarial inputs, every protocol ===============================
+
+/// Whether `o` is an effect a malformed input must never cause: a vote (of
+/// any kind), a commit, or a certificate.
+fn is_effect(o: &Output) -> bool {
+    match o {
+        Output::Commit(_) => true,
+        Output::Multicast(m) | Output::Send(_, m) => matches!(
+            m,
+            Message::Vote(_)
+                | Message::CommitVote(_)
+                | Message::Certificate(_)
+                | Message::TimeoutCert(_)
+        ),
+        Output::SetTimer { .. } => false,
+    }
+}
+
+/// A block carrying a 256-byte data payload.
+fn data_block(view: u64, proposer: u16, parent: &Block) -> Block {
+    Block::build(
+        View(view),
+        NodeId(proposer),
+        parent,
+        Payload::from(vec![7u8; 256]),
+    )
+}
+
+/// [`data_block`] with different bytes swapped in under the honest digest,
+/// so the block id (and every certificate for it) is unchanged — what a
+/// Byzantine leader can ship under an honest-looking block.
+fn tampered_block(view: u64, proposer: u16, parent: &Block) -> Block {
+    let honest = Payload::from(vec![7u8; 256]);
+    let tampered = Payload::data_prehashed(std::sync::Arc::from(vec![8u8; 256]), honest.digest());
+    Block::build(View(view), NodeId(proposer), parent, tampered)
+}
+
+/// A QC claiming `block` but carrying the proof of a certificate for a
+/// different block.
+fn forged_qc_for(block: &Block) -> QuorumCertificate {
+    let other = Block::build(
+        block.view(),
+        block.proposer(),
+        &Block::genesis(),
+        Payload::from(vec![9]),
+    );
+    let proof = qc_for(&other, VoteKind::Normal).proof().clone();
+    QuorumCertificate::from_parts(
+        VoteKind::Normal,
+        block.id(),
+        block.height(),
+        block.view(),
+        proof,
+    )
+}
+
+/// A malformed input and its honest twin, both delivered after `setup`.
+struct Adversarial {
+    name: &'static str,
+    setup: Vec<(NodeId, Message)>,
+    forged: Vec<(NodeId, Message)>,
+    honest: Vec<(NodeId, Message)>,
+}
+
+fn adversarial_cases() -> Vec<Adversarial> {
+    let g = Block::genesis();
+    let b1 = child_of(&g, 1, 0);
+    let q1 = qc_for(&b1, VoteKind::Normal);
+    let vote = |voter: u16, signer: u16| {
+        SignedVote::sign(
+            Vote {
+                kind: VoteKind::Normal,
+                block_id: b1.id(),
+                block_height: b1.height(),
+                view: View(1),
+            },
+            NodeId(voter),
+            &KeyPair::from_seed(signer as u64),
+        )
+    };
+    let timeout = |sender: u16, lock: QuorumCertificate| {
+        let mut st = SignedTimeout::sign(
+            View(1),
+            Some(q1.clone()),
+            NodeId(sender),
+            &KeyPair::from_seed(sender as u64),
+        );
+        st.lock = Some(lock);
+        st
+    };
+    let tc = tc_for(1, None);
+    let mut bad_entries = tc.entries().to_vec();
+    bad_entries[0].signature = KeyPair::from_seed(0).sign(b"wrong bytes");
+    let bad_tc = TimeoutCertificate::from_parts(tc.view(), bad_entries, None);
+    // Data-payload chain for the block-response case: C_1 and C_2 are
+    // known and b2 is stored, so delivering b1 completes the 2-chain.
+    let d1 = data_block(1, 0, &g);
+    let d2 = child_of(&d1, 2, 1);
+    let propose = |view: u64, block: Block, justify: QuorumCertificate| {
+        (
+            NodeId((view - 1) as u16),
+            Message::Propose {
+                block,
+                justify,
+                view: View(view),
+            },
+        )
+    };
+
+    vec![
+        Adversarial {
+            name: "vote signed by the wrong key",
+            setup: vec![],
+            forged: (0..3)
+                .map(|i| (NodeId(i), Message::Vote(vote(i, (i + 1) % 4))))
+                .collect(),
+            honest: (0..3)
+                .map(|i| (NodeId(i), Message::Vote(vote(i, i))))
+                .collect(),
+        },
+        Adversarial {
+            name: "forged QC as a certificate",
+            setup: vec![],
+            forged: vec![(NodeId(1), Message::Certificate(forged_qc_for(&b1)))],
+            honest: vec![(NodeId(1), Message::Certificate(q1.clone()))],
+        },
+        Adversarial {
+            name: "forged QC as a propose justify",
+            setup: vec![],
+            forged: vec![propose(2, child_of(&b1, 2, 1), forged_qc_for(&b1))],
+            honest: vec![propose(2, child_of(&b1, 2, 1), q1.clone())],
+        },
+        Adversarial {
+            name: "TC with a bad entry signature",
+            setup: vec![],
+            forged: vec![(NodeId(1), Message::TimeoutCert(bad_tc))],
+            honest: vec![(NodeId(1), Message::TimeoutCert(tc))],
+        },
+        Adversarial {
+            name: "timeout whose lock mismatches",
+            setup: vec![],
+            forged: (0..3)
+                .map(|i| {
+                    (
+                        NodeId(i),
+                        Message::Timeout(timeout(i, QuorumCertificate::genesis())),
+                    )
+                })
+                .collect(),
+            honest: (0..3)
+                .map(|i| (NodeId(i), Message::Timeout(timeout(i, q1.clone()))))
+                .collect(),
+        },
+        Adversarial {
+            name: "tampered payload in an opt-propose",
+            setup: vec![],
+            forged: vec![(
+                NodeId(0),
+                Message::OptPropose {
+                    block: tampered_block(1, 0, &g),
+                    view: View(1),
+                },
+            )],
+            honest: vec![(
+                NodeId(0),
+                Message::OptPropose {
+                    block: data_block(1, 0, &g),
+                    view: View(1),
+                },
+            )],
+        },
+        Adversarial {
+            name: "tampered payload in a propose",
+            setup: vec![],
+            forged: vec![propose(
+                1,
+                tampered_block(1, 0, &g),
+                QuorumCertificate::genesis(),
+            )],
+            honest: vec![propose(
+                1,
+                data_block(1, 0, &g),
+                QuorumCertificate::genesis(),
+            )],
+        },
+        Adversarial {
+            name: "tampered payload in a block response",
+            setup: vec![
+                (
+                    NodeId(0),
+                    Message::Certificate(qc_for(&d1, VoteKind::Normal)),
+                ),
+                (
+                    NodeId(1),
+                    Message::Certificate(qc_for(&d2, VoteKind::Normal)),
+                ),
+                (NodeId(1), Message::BlockResponse { block: d2.clone() }),
+            ],
+            forged: vec![(
+                NodeId(0),
+                Message::BlockResponse {
+                    block: tampered_block(1, 0, &g),
+                },
+            )],
+            honest: vec![(NodeId(0), Message::BlockResponse { block: d1.clone() })],
+        },
+        Adversarial {
+            name: "valid next-view justify with a tampered payload",
+            setup: vec![],
+            forged: vec![propose(2, tampered_block(2, 1, &b1), q1.clone())],
+            honest: vec![propose(2, data_block(2, 1, &b1), q1.clone())],
+        },
+    ]
+}
+
+/// Every malformed input is dropped whole, by every protocol: no vote, no
+/// commit, no certificate, and no view change — not even from a valid
+/// certificate riding in the same message as a tampered payload. Each
+/// case's honest twin must have an effect, so no case passes vacuously.
+#[test]
+fn malformed_inputs_are_dropped_by_every_protocol() {
+    type Build = fn(NodeConfig) -> Box<dyn ConsensusProtocol>;
+    let protocols: [(&str, Build); 4] = [
+        ("SM", |c| Box::new(SimpleMoonshot::new(c))),
+        ("PM", |c| Box::new(PipelinedMoonshot::new(c))),
+        ("CM", |c| Box::new(CommitMoonshot::new(c))),
+        ("J", |c| Box::new(Jolteon::new(c))),
+    ];
+    let feed = |node: &mut dyn ConsensusProtocol, msgs: &[(NodeId, Message)]| -> Vec<Output> {
+        msgs.iter()
+            .flat_map(|(from, m)| node.handle_message(*from, m.clone(), t(10)))
+            .collect()
+    };
+    for (proto, build) in protocols {
+        for case in adversarial_cases() {
+            let mut node = build(cfg(3));
+            node.start(t(0));
+            feed(&mut *node, &case.setup);
+            let before = node.current_view();
+            let outs = feed(&mut *node, &case.forged);
+            assert!(
+                !outs.iter().any(is_effect),
+                "{proto}: {}: malformed input produced {outs:?}",
+                case.name
+            );
+            assert_eq!(
+                node.current_view(),
+                before,
+                "{proto}: {}: view changed",
+                case.name
+            );
+
+            let mut twin = build(cfg(3));
+            twin.start(t(0));
+            feed(&mut *twin, &case.setup);
+            let outs = feed(&mut *twin, &case.honest);
+            let moved = twin.current_view() != before || outs.iter().any(is_effect);
+            // Jolteon has no optimistic proposals and ignores them.
+            let ignored = proto == "J" && matches!(case.honest[0].1, Message::OptPropose { .. });
+            assert!(
+                moved || ignored,
+                "{proto}: {}: honest twin had no effect",
+                case.name
+            );
+        }
+    }
+}

@@ -3,7 +3,7 @@
 //! ```text
 //! cluster [--n 4] [--duration-secs 10] [--delta-ms 50] [--payload 0]
 //!         [--protocol sm|pm|cm|jolteon]   # default: all four
-//!         [--verify both|reader|inline|off]   # default: both
+//!         [--verify reader|off]   # default: reader
 //!         [--load <batch-bytes>] [--tx-bytes 180] [--tx-rate 0]
 //!         [--clients 1] [--digest] [--drop-push-to <id>]
 //!         [--payload-sweep]
@@ -13,11 +13,11 @@
 //!         [--data-dir <dir>] [--restart-node <id>]
 //! ```
 //!
-//! Signature verification is **enabled** by default. `--verify both` runs
-//! every selected protocol twice — once verifying inline on the driver
-//! thread (the baseline) and once on the transport's reader threads with
-//! the verified-certificate cache (the fast path) — so one invocation
-//! produces the before/after comparison.
+//! Signature verification is **enabled** by default (`--verify reader`):
+//! every message is checked on the network pool's sigverify stage with
+//! the verified-certificate cache, and the driver only ever handles
+//! pre-verified messages. `--verify off` disables verification for
+//! honest-cluster experiments. Each selected protocol runs once.
 //!
 //! `--load <batch-bytes>` switches payloads from synthetic to **real**:
 //! every node gets a mempool and a batch-assembler thread, an in-process
@@ -321,17 +321,15 @@ fn main() -> ExitCode {
         },
         None => None,
     };
-    // "both" runs inline (before) then reader (after) for each protocol, so
-    // one invocation produces the verification fast-path comparison.
-    let modes: Vec<VerifyMode> = match flag(&args, "--verify").as_deref() {
-        None | Some("both") => vec![VerifyMode::Inline, VerifyMode::Reader],
+    let verify: VerifyMode = match flag(&args, "--verify") {
         Some(m) => match m.parse() {
-            Ok(m) => vec![m],
+            Ok(m) => m,
             Err(e) => {
                 eprintln!("error: {e}");
                 return ExitCode::from(2);
             }
         },
+        None => VerifyMode::default(),
     };
 
     let make_load = |batch_bytes: usize| {
@@ -349,11 +347,10 @@ fn main() -> ExitCode {
         l
     };
     let mut plans: Vec<RunPlan> = if sweep {
-        // The sweep compares payload sizes, not protocols × verify modes:
-        // default to the paper's headline protocol on the fast path, one
-        // run per size, unless the flags narrow it differently.
+        // The sweep compares payload sizes, not protocols: default to the
+        // paper's headline protocol, one run per size, unless `--protocol`
+        // narrows it differently.
         let protocol = protocol_flag.unwrap_or(ProtocolChoice::Pipelined);
-        let verify = if flag(&args, "--verify").is_some() { modes[0] } else { VerifyMode::Reader };
         SWEEP_SIZES
             .iter()
             .map(|&size| RunPlan {
@@ -371,9 +368,8 @@ fn main() -> ExitCode {
             None => ProtocolChoice::ALL.to_vec(),
         };
         protocols
-            .iter()
-            .flat_map(|p| modes.iter().map(move |m| (*p, *m)))
-            .map(|(protocol, verify)| RunPlan {
+            .into_iter()
+            .map(|protocol| RunPlan {
                 protocol,
                 verify,
                 payload_bytes: load_batch.map(|b| b as u64).unwrap_or(payload),
@@ -385,11 +381,10 @@ fn main() -> ExitCode {
     };
     if mixed_load {
         // The fairness comparison rides the sweep convention: headline
-        // protocol on the fast path unless flags narrow it. Each batch
-        // size gets a paced-only baseline cell, then the mixed cell whose
-        // paced p99 is gated against that baseline.
+        // protocol unless `--protocol` narrows it. Each batch size gets a
+        // paced-only baseline cell, then the mixed cell whose paced p99 is
+        // gated against that baseline.
         let protocol = protocol_flag.unwrap_or(ProtocolChoice::Pipelined);
-        let verify = if flag(&args, "--verify").is_some() { modes[0] } else { VerifyMode::Reader };
         let sizes: Vec<usize> =
             if sweep { SWEEP_SIZES.to_vec() } else { vec![load_batch.unwrap_or(18_000)] };
         for size in sizes {
@@ -454,7 +449,7 @@ fn main() -> ExitCode {
         spec.load = load.clone();
         spec.drop_push_to = drop_push_to.map(moonshot_types::NodeId);
         // Each run gets its own data subdir: ledger state must not leak
-        // across the protocol × verify grid.
+        // across runs.
         spec.data_dir = data_dir.as_ref().map(|d| d.join(&label));
         spec.shape = shape.clone();
         if let Some(m) = &shape {

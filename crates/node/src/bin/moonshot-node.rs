@@ -5,12 +5,16 @@
 //! moonshot-node config --n 4 --base-port 7000
 //! moonshot-node run --config cluster.conf --id 0 --protocol pm \
 //!     [--delta-ms 50] [--payload 0] [--duration-secs 0] [--trace out.jsonl] \
-//!     [--load <batch-bytes>]
+//!     [--verify reader|off] [--load <batch-bytes>]
 //! ```
 //!
 //! `run` starts the node and, with `--duration-secs 0` (the default), runs
 //! until the process is killed; otherwise it stops after the given
 //! duration and prints the node's JSON summary on stdout.
+//!
+//! `--verify reader` (the default) checks every received message on the
+//! network pool's sigverify stage before the driver sees it; `--verify
+//! off` disables verification for honest-cluster experiments.
 //!
 //! `--load <batch-bytes>` gives the node a real data path: a sharded
 //! mempool fed by `SubmitTx` frames (any TCP client may connect and
@@ -53,7 +57,7 @@ fn usage() -> ExitCode {
          moonshot-node config --n <validators> [--base-port 7000]\n  \
          moonshot-node run --config <file> --id <n> --protocol <sm|pm|cm|jolteon>\n      \
          [--delta-ms 50] [--payload <bytes>] [--duration-secs 0] [--trace <file.jsonl>]\n      \
-         [--verify reader|inline|off] [--load <batch-bytes>] [--introspect <addr>]\n      \
+         [--verify reader|off] [--load <batch-bytes>] [--introspect <addr>]\n      \
          [--data-dir <dir>]"
     );
     ExitCode::from(2)
@@ -205,10 +209,9 @@ fn run(args: &[String]) -> ExitCode {
         }
         None => None,
     };
-    let verifier = verify.configure(&mut node_cfg);
+    verify.configure(&mut node_cfg);
     let cache = node_cfg.verified_cache.clone();
     let mut transport = TransportConfig::new(node, listen, cluster.nodes.clone());
-    transport.verifier = verifier;
     transport.introspect = introspect;
     // No commit for 40 Δ (≈ tens of block periods) means the node is
     // wedged; the watchdog turns that into a `Stall` trace snapshot.
@@ -235,8 +238,10 @@ fn run(args: &[String]) -> ExitCode {
         );
         assembler
     });
+    let node_protocol = protocol.build(node_cfg);
+    transport.verifier = verify.transport_verifier(&*node_protocol);
     let handle = match NodeHandle::start(
-        protocol.build(node_cfg),
+        node_protocol,
         transport,
         None,
         epoch,

@@ -43,8 +43,8 @@ pub struct ClusterSpec {
     pub payload_bytes: u64,
     /// Per-node trace ring capacity (records).
     pub trace_capacity: usize,
-    /// Where signature verification runs (reader threads, inline on the
-    /// driver, or nowhere).
+    /// Whether received messages are verified (on the network pool's
+    /// sigverify stage) or not at all.
     pub verify: VerifyMode,
     /// When set, each node gets a real data path — mempool, batch
     /// assembler, `SubmitTx` ingest — instead of synthetic payloads, and
@@ -303,10 +303,9 @@ impl Cluster {
             let id = NodeId(i as u16);
             let mut cfg = node_config(id, spec.n, spec.delta, spec.payload_bytes);
             let ledger = open_ledger(&spec, id, &mut cfg)?;
-            let verifier = spec.verify.configure(&mut cfg);
+            spec.verify.configure(&mut cfg);
             let cache = cfg.verified_cache.clone();
             let mut transport = TransportConfig::new(id, peers[i].1, peers.clone());
-            transport.verifier = verifier;
             transport.pool = Some(net.clone());
             transport.shape = spec.shape.clone();
             if spec.introspect {
@@ -340,8 +339,10 @@ impl Cluster {
                     );
                 }
             }
+            let protocol = spec.protocol.build(cfg);
+            transport.verifier = spec.verify.transport_verifier(&*protocol);
             let handle = NodeHandle::start(
-                spec.protocol.build(cfg),
+                protocol,
                 transport,
                 Some(listener),
                 epoch,
@@ -468,10 +469,9 @@ impl Cluster {
                 resync_blocks: cluster_height.saturating_sub(recovered_height),
             });
         }
-        let verifier = spec.verify.configure(&mut cfg);
+        spec.verify.configure(&mut cfg);
         let cache = cfg.verified_cache.clone();
         let mut transport = TransportConfig::new(id, self.peers[idx].1, self.peers.clone());
-        transport.verifier = verifier;
         transport.pool = Some(self.net.clone());
         transport.shape = spec.shape.clone();
         if spec.introspect {
@@ -508,8 +508,10 @@ impl Cluster {
                 );
             }
         }
+        let protocol = spec.protocol.build(cfg);
+        transport.verifier = spec.verify.transport_verifier(&*protocol);
         let handle = NodeHandle::start(
-            spec.protocol.build(cfg),
+            protocol,
             transport,
             None,
             self.epoch,
@@ -1499,9 +1501,9 @@ mod tests {
     /// Reader-mode verification end to end: with signatures on, the
     /// cluster must still commit; duplicate certificate deliveries must be
     /// cache hits (each unique QC/TC costs one raw verification — the
-    /// `misses` counter — per node); and the driver must have received
-    /// only pre-verified messages, i.e. performed zero signature checks
-    /// itself.
+    /// `misses` counter — per node); and the sigverify stage, the only
+    /// route from a socket to the driver, must actually have batched
+    /// signatures.
     #[test]
     fn reader_verified_cluster_commits_with_cache_hits() {
         let mut spec = ClusterSpec::new(4, ProtocolChoice::Pipelined);
@@ -1519,13 +1521,41 @@ mod tests {
             let hits = r.metrics.counter("verify.cache_hits");
             let misses = r.metrics.counter("verify.cache_misses");
             assert!(hits > 0, "node {}: no cache hits (hits={hits} misses={misses})", r.node);
-            assert_eq!(
-                r.metrics.counter("driver.unverified_messages"),
-                0,
-                "node {}: driver handled unverified messages",
+            assert!(
+                r.metrics.counter("crypto.batch_verify_calls") > 0,
+                "node {}: sigverify stage never ran",
                 r.node
             );
             assert!(r.metrics.counter("driver.batches") > 0);
+        }
+    }
+
+    /// `VerifyMode::Off` end to end: the one configuration in which shards
+    /// hand messages to the driver without a verifier. The cluster must
+    /// still commit safely, and no node may have run a single signature
+    /// batch.
+    #[test]
+    fn verify_off_cluster_commits_without_verification() {
+        let mut spec = ClusterSpec::new(4, ProtocolChoice::Pipelined);
+        spec.verify = VerifyMode::Off;
+        let cluster = Cluster::launch(spec).unwrap();
+        let deadline = Instant::now() + std::time::Duration::from_secs(20);
+        while cluster.quorum_committed_height() < 8 && Instant::now() < deadline {
+            std::thread::sleep(std::time::Duration::from_millis(50));
+        }
+        let height = cluster.quorum_committed_height();
+        let report = cluster.stop();
+        assert!(height >= 8, "cluster only reached quorum height {height}");
+        let summary = report.check_invariants().expect("no safety violations");
+        assert!(summary.commits > 0);
+        for r in &report.reports {
+            assert_eq!(
+                r.metrics.counter("crypto.batch_verify_calls"),
+                0,
+                "node {}: verification ran with VerifyMode::Off",
+                r.node
+            );
+            assert_eq!(r.metrics.counter("verify.cache_misses"), 0, "node {}", r.node);
         }
     }
 

@@ -87,50 +87,45 @@ impl FromStr for ProtocolChoice {
     }
 }
 
-/// Where signature verification runs for a networked node.
+/// Whether a networked node verifies what it receives.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum VerifyMode {
-    /// Verify on the transport's per-peer reader threads; the driver
-    /// receives pre-verified messages and performs zero signature checks
-    /// itself. The default.
+    /// Verify on the network pool's sigverify stage with a clone of the
+    /// protocol's own [`MessageVerifier`]; the driver receives
+    /// pre-verified messages and performs zero signature checks itself.
+    /// The default.
     #[default]
     Reader,
-    /// Verify inline on the driver thread (the pre-fast-path behaviour —
-    /// kept as the benchmark baseline).
-    Inline,
     /// No verification anywhere (honest-cluster experiments that trade
     /// fidelity for speed).
     Off,
 }
 
 impl VerifyMode {
-    /// Short label for results rows (`reader`, `inline`, `off`).
+    /// Short label for results rows (`reader`, `off`).
     pub fn label(self) -> &'static str {
         match self {
             VerifyMode::Reader => "reader",
-            VerifyMode::Inline => "inline",
             VerifyMode::Off => "off",
         }
     }
 
-    /// Applies this mode to `cfg` and returns the transport verifier to
-    /// install, if any. Must run before the protocol is built (the config
-    /// is consumed by `build`).
-    pub fn configure(self, cfg: &mut NodeConfig) -> Option<Arc<MessageVerifier>> {
-        match self {
-            VerifyMode::Reader => {
-                cfg.verify_signatures = true;
-                Some(Arc::new(MessageVerifier::for_config(cfg)))
-            }
-            VerifyMode::Inline => {
-                cfg.verify_signatures = true;
-                None
-            }
-            VerifyMode::Off => {
-                cfg.verify_signatures = false;
-                None
-            }
-        }
+    /// Applies this mode to `cfg`. Must run before the protocol is built
+    /// (the config is consumed by `build`, and the protocol's verifier is
+    /// built from it).
+    pub fn configure(self, cfg: &mut NodeConfig) {
+        cfg.verify_signatures = self == VerifyMode::Reader;
+    }
+
+    /// The verifier the transport's sigverify stage runs for `protocol`:
+    /// under `Reader` a clone of the protocol's own verifier (same keyring,
+    /// same certificate cache), under `Off` none — shards then hand every
+    /// message straight to the driver.
+    pub fn transport_verifier(
+        self,
+        protocol: &dyn ConsensusProtocol,
+    ) -> Option<Arc<MessageVerifier>> {
+        (self == VerifyMode::Reader).then(|| Arc::new(protocol.verifier().clone()))
     }
 }
 
@@ -140,9 +135,8 @@ impl FromStr for VerifyMode {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.to_ascii_lowercase().as_str() {
             "reader" => Ok(VerifyMode::Reader),
-            "inline" => Ok(VerifyMode::Inline),
             "off" | "none" => Ok(VerifyMode::Off),
-            other => Err(format!("unknown verify mode {other:?} (want reader|inline|off)")),
+            other => Err(format!("unknown verify mode {other:?} (want reader|off)")),
         }
     }
 }

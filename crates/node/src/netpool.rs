@@ -25,9 +25,9 @@
 //!   threads drain *across all connections and nodes* and call
 //!   [`MessageVerifier::verify_batch`], which funnels the accumulated
 //!   vote/timeout signatures into one `moonshot-crypto::batch_verify`
-//!   call. Verified messages are delivered to the owning driver with
-//!   `verified = true`, preserving the `driver.unverified_messages == 0`
-//!   invariant; failures count against the sending peer.
+//!   call. Verified messages are delivered to the owning driver as the
+//!   `PreVerified` values the verifier returns; failures count against the
+//!   sending peer.
 //! - **An ingest stage**: client `SubmitTx` frames are handed to a worker
 //!   that runs the tx hash + mempool admission off the event loops. Each
 //!   client connection may stage at most [`SUBMIT_PAUSE_BYTES`] of
@@ -50,7 +50,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use moonshot_consensus::{Message, MessageVerifier};
+use moonshot_consensus::{Message, MessageVerifier, PreVerified};
 use moonshot_mempool::{batch_digest, DissemPlane, Mempool};
 use moonshot_reactor::{Event, Interest, Poller, Waker};
 use moonshot_types::time::{SimDuration, SimTime};
@@ -668,12 +668,8 @@ fn verify_worker(q: Arc<VerifyQueue>, shutdown: Arc<AtomicBool>) {
             let results = verifier.verify_batch(msgs);
             for (from, result) in froms.into_iter().zip(results) {
                 match result {
-                    Ok(pv) => {
-                        let _ = core.inbound.send(Inbound {
-                            from,
-                            msg: pv.into_inner(),
-                            verified: true,
-                        });
+                    Ok(msg) => {
+                        let _ = core.inbound.send(Inbound { from, msg });
                     }
                     Err(_) => {
                         if let Some(p) = core.peers.get(&from) {
@@ -1263,15 +1259,16 @@ impl Runner {
                 }
                 self.handle.frames.fetch_add(1, Ordering::Relaxed);
                 // Signature checking never runs on the event loop: with a
-                // verifier, the message joins the staged sigverify batch;
-                // verified copies reach the driver with `verified = true`.
+                // verifier, the message joins the staged sigverify batch.
+                // Without one, verification is off and the message is
+                // trusted as it stands.
                 match &c.core.verifier {
                     Some(_) => {
                         self.verify.push(VerifyJob { core: c.core.clone(), from: id, msg });
                     }
                     None => {
-                        if c.core.inbound.send(Inbound { from: id, msg, verified: false }).is_err()
-                        {
+                        let msg = PreVerified::trusted(msg);
+                        if c.core.inbound.send(Inbound { from: id, msg }).is_err() {
                             return ReadVerdict::Close; // driver gone
                         }
                     }

@@ -210,7 +210,6 @@ pub struct NodeHandle {
     driver: Option<JoinHandle<NodeReport>>,
     /// Committed height mirror for cheap liveness probes.
     committed_height: Arc<AtomicU64>,
-    inbound: InboundSender,
     introspect: Option<IntrospectServer>,
 }
 
@@ -322,7 +321,6 @@ impl NodeHandle {
                         messages_handled: 0,
                         timers_fired: 0,
                         batches: 0,
-                        unverified_messages: 0,
                         stalls: 0,
                     };
                     run_driver(driver, &mut *protocol, rx, shutdown)
@@ -336,7 +334,6 @@ impl NodeHandle {
             transport_shutdown,
             driver: Some(driver),
             committed_height,
-            inbound: tx,
             introspect,
         })
     }
@@ -349,12 +346,6 @@ impl NodeHandle {
     /// Highest height this node has committed so far (updated live).
     pub fn committed_height(&self) -> u64 {
         self.committed_height.load(Ordering::Relaxed)
-    }
-
-    /// Injects a message as if received from `from` (tests, local clients).
-    /// Injected messages are unverified: the protocol checks them inline.
-    pub fn inject(&self, from: NodeId, msg: moonshot_consensus::Message) {
-        let _ = self.inbound.send(Inbound { from, msg, verified: false });
     }
 
     /// The address the introspection server listens on, when enabled.
@@ -390,8 +381,7 @@ impl NodeHandle {
 /// blind or reject a valid proposal.
 struct GatedMessage {
     from: NodeId,
-    msg: Message,
-    verified: bool,
+    msg: PreVerified,
     /// Refs still unresolved; delivery happens when this drains empty.
     missing: HashSet<Digest>,
 }
@@ -440,7 +430,6 @@ struct Driver {
     messages_handled: u64,
     timers_fired: u64,
     batches: u64,
-    unverified_messages: u64,
     stalls: u64,
 }
 
@@ -612,7 +601,6 @@ impl Driver {
         live.set_counter("driver.timers_fired", self.timers_fired);
         live.set_counter("driver.commits", self.commits.len() as u64);
         live.set_counter("driver.batches", self.batches);
-        live.set_counter("driver.unverified_messages", self.unverified_messages);
         live.set_counter("driver.stalls", self.stalls);
         live.set_counter("driver.payload_hashes", payload_hashes);
         live.set_gauge("driver.timers_armed", self.wheel.len() as f64);
@@ -683,8 +671,8 @@ impl Driver {
     /// in-flight `BatchPush`, else the fetch fallback kicked off here) so
     /// the protocol never votes for data this node could not re-serve.
     fn dispatch(&mut self, protocol: &mut dyn ConsensusProtocol, inbound: Inbound) {
-        let Inbound { from, msg, verified } = inbound;
-        if let Some(missing) = self.unresolved_refs(&msg) {
+        let Inbound { from, msg } = inbound;
+        if let Some(missing) = self.unresolved_refs(msg.message()) {
             let t = self.now();
             if let Some(plane) = &self.dissem {
                 plane.counters.votes_gated.fetch_add(1, Ordering::Relaxed);
@@ -699,31 +687,19 @@ impl Driver {
                 self.gated.pop_front();
                 self.gated_dropped += 1;
             }
-            self.gated.push_back(GatedMessage { from, msg, verified, missing });
+            self.gated.push_back(GatedMessage { from, msg, missing });
             return;
         }
-        self.deliver(protocol, from, msg, verified);
+        self.deliver(protocol, from, msg);
     }
 
-    /// Hands one message to the protocol. Messages the transport already
-    /// verified go through `handle_preverified` — the driver thread itself
-    /// performs no signature checks for them.
-    fn deliver(
-        &mut self,
-        protocol: &mut dyn ConsensusProtocol,
-        from: NodeId,
-        msg: Message,
-        verified: bool,
-    ) {
+    /// Hands one already-verified message to the protocol — the driver
+    /// thread itself performs no signature checks.
+    fn deliver(&mut self, protocol: &mut dyn ConsensusProtocol, from: NodeId, msg: PreVerified) {
         self.messages_handled += 1;
         let t = self.now();
-        self.observer.on_message_received(from, &msg, t, &mut self.sink);
-        let outputs = if verified {
-            protocol.handle_preverified(from, PreVerified::trusted(msg), t)
-        } else {
-            self.unverified_messages += 1;
-            protocol.handle_message(from, msg, t)
-        };
+        self.observer.on_message_received(from, msg.message(), t, &mut self.sink);
+        let outputs = protocol.handle_preverified(from, msg, t);
         self.process(protocol, outputs, t);
     }
 
@@ -819,7 +795,7 @@ impl Driver {
             }
             if self.gated[i].missing.is_empty() {
                 let g = self.gated.remove(i).expect("index bounded by len");
-                self.deliver(protocol, g.from, g.msg, g.verified);
+                self.deliver(protocol, g.from, g.msg);
             } else {
                 i += 1;
             }
@@ -877,8 +853,8 @@ impl Driver {
                     if to == self.node {
                         // Loopback of a self-signed message: trivially
                         // verified.
-                        let _ =
-                            self.loopback.send(Inbound { from: self.node, msg, verified: true });
+                        let msg = PreVerified::trusted(msg);
+                        let _ = self.loopback.send(Inbound { from: self.node, msg });
                     } else if matches!(msg, Message::BlockResponse { .. }) {
                         // Sync responses ride the protected queue class:
                         // dropping one under drop-oldest pressure would
@@ -892,7 +868,8 @@ impl Driver {
                     // Encode once; every peer queue shares the same bytes.
                     let frame = Arc::new(encode_message(&msg));
                     self.transport.broadcast(frame);
-                    let _ = self.loopback.send(Inbound { from: self.node, msg, verified: true });
+                    let msg = PreVerified::trusted(msg);
+                    let _ = self.loopback.send(Inbound { from: self.node, msg });
                 }
                 Output::SetTimer { token, after } => {
                     self.wheel.arm(t + after, token);

@@ -31,7 +31,7 @@ use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use moonshot_consensus::{Message, MessageVerifier, RetryPolicy};
+use moonshot_consensus::{MessageVerifier, PreVerified, RetryPolicy};
 use moonshot_mempool::{DissemPlane, Mempool};
 use moonshot_telemetry::MetricsRegistry;
 use moonshot_types::NodeId;
@@ -50,13 +50,11 @@ pub struct Inbound {
     /// The sending node (from its hello preamble, or this node itself for
     /// loopback deliveries).
     pub from: NodeId,
-    /// The consensus message.
-    pub msg: Message,
-    /// Whether every signature in `msg` was already checked (in the
-    /// pool's sigverify stage, or trivially for loopback copies of this
-    /// node's own messages). The driver routes `verified` messages through
-    /// `handle_preverified`, skipping inline crypto.
-    pub verified: bool,
+    /// The consensus message, already through the pool's sigverify stage
+    /// (or trusted: loopback copies of this node's own messages, and
+    /// everything when verification is off). The driver hands it to
+    /// `handle_preverified`.
+    pub msg: PreVerified,
 }
 
 /// A depth-tracking wrapper around the driver's inbound channel.
@@ -120,9 +118,8 @@ pub struct TransportConfig {
     pub reconnect_max: Duration,
     /// When set, the pool's sigverify stage verifies every decoded message
     /// before handing it to the driver: failures are dropped (and counted
-    /// in [`PeerMetrics::verify_failures`]), successes arrive with
-    /// [`Inbound::verified`] set. When `None`, messages are delivered
-    /// unverified and the driver checks them inline.
+    /// in [`PeerMetrics::verify_failures`]). When `None` (verification
+    /// off), shards wrap every message with [`PreVerified::trusted`].
     pub verifier: Option<Arc<MessageVerifier>>,
     /// When set, `SubmitTx` frames from client connections are fed into
     /// this mempool on the shard loop (hash + admission control there,
@@ -186,12 +183,6 @@ impl TransportConfig {
             pool: None,
             shape: None,
         }
-    }
-
-    /// Enables off-thread verification with `verifier` (builder-style).
-    pub fn with_verifier(mut self, verifier: Arc<MessageVerifier>) -> Self {
-        self.verifier = Some(verifier);
-        self
     }
 }
 
@@ -718,7 +709,7 @@ mod tests {
 
         let got = rx1.recv_timeout(Duration::from_secs(10)).expect("delivery");
         assert_eq!(got.from, NodeId(0));
-        assert_eq!(got.msg, msg);
+        assert_eq!(got.msg.message(), &msg);
         // The depth gauge credited the delivery; the consumer debits it.
         assert_eq!(depth1.load(Ordering::Relaxed), 1);
         depth1.fetch_sub(1, Ordering::Relaxed);

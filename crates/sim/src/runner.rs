@@ -256,7 +256,6 @@ impl RunConfig {
             verify_signatures: self.verify_signatures,
             fetch_retry: moonshot_consensus::RetryPolicy::auto(),
             verified_cache: std::sync::Arc::new(moonshot_crypto::VerifiedCache::default()),
-            skip_inline_checks: false,
             // Simulated nodes are ephemeral: no durable ledger.
             persist: None,
             recover: None,

@@ -125,8 +125,8 @@ impl Encode for Payload {
             Payload::Data { bytes, digest } => {
                 // The cached digest rides the wire so the decoder can
                 // rebuild the payload without re-hashing it; receive paths
-                // validate bytes-vs-digest explicitly (verifier / inline
-                // proposal checks), not the codec.
+                // validate bytes-vs-digest explicitly (the message
+                // verifier), not the codec.
                 enc.put_u8(PAYLOAD_DATA);
                 enc.put_u32(bytes.len() as u32);
                 digest.encode(enc);
@@ -165,7 +165,7 @@ impl Decode for Payload {
                 let digest = Digest::decode(dec)?;
                 // One copy out of the frame buffer into the shared Arc; no
                 // hashing here (the carried digest is validated by the
-                // message verifier / inline proposal checks).
+                // message verifier).
                 Ok(Payload::data_prehashed(Arc::from(dec.take(len)?), digest))
             }
             PAYLOAD_SYNTHETIC => {

@@ -13,7 +13,10 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use moonshot::consensus::{ConsensusProtocol, Message, NodeConfig, PayloadSource, PipelinedMoonshot};
+use moonshot::consensus::{
+    ConsensusProtocol, Message, MessageVerifier, NodeConfig, PayloadSource, PipelinedMoonshot,
+    PreVerified,
+};
 use moonshot::crypto::Keyring;
 use moonshot::net::{Actor, NetworkConfig, NicModel, Simulation, UniformLatency};
 use moonshot::sim::{MetricsSink, ProtocolActor};
@@ -80,7 +83,6 @@ fn main() {
                 verified_cache: std::sync::Arc::new(
                     moonshot::crypto::VerifiedCache::default(),
                 ),
-                skip_inline_checks: false,
                 persist: None,
                 recover: None,
                 local_blocks: None,
@@ -94,13 +96,16 @@ fn main() {
                 fn start(&mut self, now: SimTime) -> Vec<moonshot::consensus::Output> {
                     self.inner.start(now)
                 }
-                fn handle_message(
+                fn verifier(&self) -> &MessageVerifier {
+                    self.inner.verifier()
+                }
+                fn handle_preverified(
                     &mut self,
                     from: NodeId,
-                    message: Message,
+                    message: PreVerified,
                     now: SimTime,
                 ) -> Vec<moonshot::consensus::Output> {
-                    let outs = self.inner.handle_message(from, message, now);
+                    let outs = self.inner.handle_preverified(from, message, now);
                     for o in &outs {
                         if let moonshot::consensus::Output::Commit(c) = o {
                             if let Some(bytes) = c.block.payload().data_bytes() {
